@@ -27,7 +27,7 @@ from .ir import (
     parse_circuit,
     serialize_circuit,
 )
-from .lowering import LoweringError, count_report, lower, verify_lowering
+from .lowering import MAX_VERIFY_QUBITS, LoweringError, count_report, lower, verify_lowering
 from .sim import KET_PLUS_I, circuit_unitary, product_state, run
 from .synth import SynthesisError, haar_su, parse_matrix, synthesize
 
@@ -120,7 +120,7 @@ def cmd_lower(args: argparse.Namespace) -> RunReport:
         "ccz_count": float(lowered.counts[Gate.CCZ]),
     }
     ok = True
-    if lowered.circuit.num_qubits <= 6:
+    if lowered.circuit.num_qubits <= MAX_VERIFY_QUBITS:
         check = verify_lowering(source, lowered)
         ok = check.ok
         metrics["distance"] = check.distance
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (CircuitError, LoweringError, SynthesisError, ValueError, OSError) as exc:
+    except (CircuitError, LoweringError, SynthesisError, ValueError, OSError, MemoryError) as exc:
         if args.json:
             failure = {
                 "command": args.command,

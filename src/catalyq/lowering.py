@@ -55,6 +55,11 @@ class LoweringError(ValueError):
     """A source gate has no rewrite into the requested target gate set."""
 
 
+# Widest lowered circuit (data, catalyst and ancilla wires) that
+# ``verify_lowering`` checks with a dense unitary.
+MAX_VERIFY_QUBITS = 6
+
+
 def _mat(gate: Gate, angle: float | None = None) -> np.ndarray:
     return gate_matrix(GateKind(gate, angle))
 
@@ -306,15 +311,22 @@ class LoweringCheck:
     catalyst_deficit: float
 
 
+def _verify_width(lowered: LoweredCircuit) -> int:
+    n_low = lowered.circuit.num_qubits
+    if n_low > MAX_VERIFY_QUBITS:
+        raise ValueError(
+            f"dense verification capped at {MAX_VERIFY_QUBITS} total qubits, got {n_low}"
+        )
+    return n_low
+
+
 def induced_block(lowered: LoweredCircuit) -> np.ndarray:
     """Operator the lowered circuit applies to its data wires.
 
     The catalyst is sandwiched between |+i> in and out, the ancilla between
     |0> in and |1> out (its X prep is part of the lowered circuit).
     """
-    n_low = lowered.circuit.num_qubits
-    if n_low > 6:
-        raise ValueError(f"dense verification capped at 6 total qubits, got {n_low}")
+    n_low = _verify_width(lowered)
     u_low = circuit_unitary(lowered.circuit)
     ins: dict[int, np.ndarray] = {}
     outs: dict[int, np.ndarray] = {}
@@ -331,9 +343,7 @@ def catalyst_return_deficit(lowered: LoweredCircuit) -> float:
     """Worst shortfall of the catalyst's return overlap over data basis inputs."""
     if lowered.catalyst_qubit is None:
         return 0.0
-    n_low = lowered.circuit.num_qubits
-    if n_low > 6:
-        raise ValueError(f"dense verification capped at 6 total qubits, got {n_low}")
+    n_low = _verify_width(lowered)
     u_low = circuit_unitary(lowered.circuit)
     n_data = len(lowered.data_qubit_map)
     fixed = {lowered.catalyst_qubit: KET_PLUS_I}

@@ -6,11 +6,34 @@ For multi-qubit gates the first operand is the most significant bit of the
 gate's own index space; controlled gates list controls first.
 
 Statevectors are 1-D complex ndarrays of length 2^n; unitaries are square
-complex ndarrays. Dense unitaries are capped at 12 qubits.
+complex ndarrays. Statevectors are capped at ``MAX_STATE_QUBITS`` (24, a
+256 MiB state) and dense unitaries at ``MAX_DENSE_QUBITS`` (12); both caps
+are checked before any 2^n array is allocated.
+
+``run`` copies its input once, so the caller's array is never written;
+``circuit_unitary`` starts from the identity, with the columns as a trailing
+batch axis. Both apply each gate with one kernel, ``_apply``, which never
+builds the gate's embedding:
+
+- diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
+  slice where every operand bit is 1 by the gate's phase (RZ phases both
+  slices); amplitudes outside that slice are not touched;
+- X swaps its two slices in place;
+- H, Y, RX and RY multiply their 2x2 matrix into the (left, 2, right)
+  reshape as one batched product, written to a new array that replaces the
+  state;
+- CRY does the same one-qubit update on its control=1 slice, in place.
+
+On a large array whose trailing block ``right`` (amplitudes right of the
+target wire, batch included) is short, a one-qubit gate is one gemm against
+kron(m, I_right) instead. Which path a gate takes depends only on the array's
+shape. ``_apply_tensor`` is the plain tensordot contraction, kept as the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +42,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateApp, GateKind
 
 MAX_DENSE_QUBITS = 12
+MAX_STATE_QUBITS = 24
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -78,7 +102,9 @@ def _apply_tensor(psi: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np
     """Contract ``mat`` into tensor ``psi`` along the given qubit axes.
 
     ``psi`` has shape [2]*n (+ optional trailing batch axes); ``mat`` is
-    2^k x 2^k with axis order matching ``axes``.
+    2^k x 2^k with axis order matching ``axes``. Returns a new tensor. This
+    is the reference the kernel ``_apply`` is tested against; the simulator
+    itself does not call it.
     """
     k = len(axes)
     tensor = mat.reshape([2] * (2 * k))
@@ -86,25 +112,102 @@ def _apply_tensor(psi: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def apply_gate(state: np.ndarray, app: GateApp) -> np.ndarray:
-    """Apply one gate to a statevector, returning a new statevector."""
-    n = _num_qubits_of(state.shape[0])
-    if max(app.qubits) >= n:
-        raise ValueError(f"gate operand {max(app.qubits)} out of range for {n} qubits")
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    out = _apply_tensor(psi, gate_matrix(app.kind), app.qubits)
-    return out.reshape(-1)
+# Index pieces that keep every axis, so each indexed slice is a view.
+_ALL = slice(None)
+_BIT = (slice(0, 1), slice(1, 2))
+
+# Phase each diagonal gate puts on its all-ones slice; the rest is untouched.
+_ONES_PHASE: dict[Gate, complex] = {
+    Gate.Z: -1,
+    Gate.S: 1j,
+    Gate.SDG: -1j,
+    Gate.CZ: -1,
+    Gate.CS: 1j,
+    Gate.CCZ: -1,
+}
+
+# A one-qubit gate whose trailing block (the amplitudes right of its wire,
+# batch included) holds at most _GEMM_MAX_RIGHT entries, on an array of at
+# least _GEMM_MIN_SIZE amplitudes, runs as one gemm against kron(m, I_right):
+# there the batched 2x2 products, one per short block, cost 2-30x more, and
+# the strided slice updates of X and RZ 2-4x more (18 wires, 2-core Xeon).
+# On smaller arrays building the kron matrix costs more than it saves.
+_GEMM_MAX_RIGHT = 16
+_GEMM_MIN_SIZE = 1 << 10
+
+
+def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
+    """Apply one gate to ``psi`` and return the array that holds the result.
+
+    ``psi`` has shape (2,)*n, optionally followed by one batch axis; ``app``
+    must act on wires below n. The diagonal gates, X and CRY update ``psi``
+    in place and return it. H, Y, RX and RY, and every one-qubit gate that
+    takes the gemm, return a new array and leave ``psi`` to be dropped: one
+    product into fresh memory is about twice as fast as an in-place pair
+    update, whose temporaries take as much memory.
+    """
+    gate = app.kind.gate
+    idx: list = [_ALL] * psi.ndim
+    phase = _ONES_PHASE.get(gate)
+    if phase is not None:
+        for q in app.qubits:
+            idx[q] = _BIT[1]
+        ones = psi[tuple(idx)]
+        ones *= phase
+        return psi
+    if gate is Gate.CRY:
+        control, q = app.qubits
+        idx[control] = _BIT[1]
+        target = psi[tuple(idx)]
+        target[...] = _apply_1q(target, q, GateKind(Gate.RY, app.kind.angle))
+        return psi
+    return _apply_1q(psi, app.qubits[0], app.kind)
+
+
+def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
+    """One-qubit gate ``kind`` on axis ``q`` of ``psi``, as in ``_apply``."""
+    right = math.prod(psi.shape[q + 1 :])
+    if right <= _GEMM_MAX_RIGHT and psi.size >= _GEMM_MIN_SIZE:
+        mat = gate_matrix(kind)
+        kron = mat.T[:, None, :, None] * np.eye(right)[None, :, None, :]
+        rows = psi.reshape(-1, 2 * right) @ kron.reshape(2 * right, 2 * right)
+        return rows.reshape(psi.shape)
+    if kind.gate is not Gate.X and kind.gate is not Gate.RZ:
+        pairs = psi.reshape(-1, 2, right)
+        return np.matmul(gate_matrix(kind), pairs).reshape(psi.shape)
+    lead = (_ALL,) * q
+    zero, one = psi[lead + (_BIT[0],)], psi[lead + (_BIT[1],)]
+    if kind.gate is Gate.RZ:
+        zero *= cmath.exp(-0.5j * kind.angle)
+        one *= cmath.exp(0.5j * kind.angle)
+    else:
+        saved = zero.copy()
+        zero[...] = one
+        one[...] = saved
+    return psi
+
+
+def _check_state_width(num_qubits: int) -> None:
+    if num_qubits > MAX_STATE_QUBITS:
+        raise ValueError(
+            f"statevector capped at {MAX_STATE_QUBITS} qubits, got {num_qubits}"
+        )
 
 
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Execute the circuit on an initial statevector."""
+    """Execute the circuit on an initial statevector.
+
+    The input is copied once and never written; the gates then work on that
+    copy (see ``_apply``).
+    """
+    _check_state_width(c.num_qubits)
     if state.shape[0] != 1 << c.num_qubits:
         raise ValueError(
             f"state has dimension {state.shape[0]}, circuit needs {1 << c.num_qubits}"
         )
-    psi = np.asarray(state, dtype=complex).reshape([2] * c.num_qubits)
+    psi = np.array(state, dtype=complex).reshape([2] * c.num_qubits)
     for app in c.gates:
-        psi = _apply_tensor(psi, gate_matrix(app.kind), app.qubits)
+        psi = _apply(psi, app)
     return psi.reshape(-1)
 
 
@@ -119,7 +222,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     # Columns are basis-state evolutions; the trailing axis is the batch.
     u = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
     for app in c.gates:
-        u = _apply_tensor(u, gate_matrix(app.kind), app.qubits)
+        u = _apply(u, app)
     return u.reshape(dim, dim)
 
 
@@ -162,6 +265,7 @@ STATE_TOKENS: dict[str, np.ndarray] = {
 
 
 def basis_state(num_qubits: int, index: int) -> np.ndarray:
+    _check_state_width(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     psi = np.zeros(1 << num_qubits, dtype=complex)
@@ -171,6 +275,7 @@ def basis_state(num_qubits: int, index: int) -> np.ndarray:
 
 def product_state(tokens: list[str]) -> np.ndarray:
     """Tensor product of per-qubit tokens ('0','1','+','-','+i','-i'), qubit 0 first."""
+    _check_state_width(len(tokens))
     psi = np.array([1.0], dtype=complex)
     for tok in tokens:
         if tok not in STATE_TOKENS:

@@ -15,6 +15,21 @@ def lemma_table_holds():
     assert worst <= 1e-13, f"lemma table broken, worst entrywise error {worst:.3e}"
 
 
+@pytest.fixture
+def refuse_big_arrays(monkeypatch):
+    """Make numpy's allocators used by the simulator fail instead of allocating.
+
+    Width guards must fire before any 2^n array exists; with this fixture a
+    missing guard fails the test instead of allocating gigabytes.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the width guard")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+
+
 def random_circuit(rng, num_qubits, num_gates, tags=None):
     """Random circuit over the given tags (default: all that fit the width)."""
     pool = [g for g in (tags or Gate) if g.arity <= num_qubits]

@@ -313,6 +313,28 @@ def test_simulate_unknown_token(tmp_path, capsys):
     assert "state token" in payload["error"]
 
 
+def test_simulate_too_wide_fails_before_allocating(tmp_path, capsys, refuse_big_arrays):
+    src = tmp_path / "wide.txt"
+    src.write_text("qubits 30\nH 0\n")
+    code, payload, _ = run_json(["simulate", str(src)], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert "capped at 24 qubits, got 30" in payload["error"]
+
+
+def test_memory_error_becomes_json_failure(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the state")
+
+    monkeypatch.setattr("catalyq.cli.run", out_of_memory)
+    src = tmp_path / "h.txt"
+    src.write_text("qubits 1\nH 0\n")
+    code, payload, _ = run_json(["simulate", str(src)], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["error"] == "cannot allocate the state"
+
+
 def test_simulate_text_mode_lists_kets(tmp_path, capsys):
     src = tmp_path / "h.txt"
     src.write_text("qubits 1\nH 0\n")

@@ -8,12 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyq.ir import (
     HCCZ,
     REAL_O2_CCZ,
     Circuit,
+    CircuitError,
     Gate,
+    GateApp,
     GateKind,
     ccz,
     circuit_of,
@@ -27,7 +31,9 @@ from catalyq.sim import (
     KET_MINUS_I,
     KET_PLUS_I,
     MAX_DENSE_QUBITS,
-    apply_gate,
+    MAX_STATE_QUBITS,
+    _apply,
+    _apply_tensor,
     basis_state,
     circuit_unitary,
     extract_catalytic,
@@ -153,12 +159,12 @@ def test_all_matrices_unitary():
 # --- state evolution ---
 
 def test_apply_h_to_zero():
-    out = apply_gate(KET_0.copy(), h(0))
+    out = run(circuit_of(1, h(0)), KET_0.copy())
     assert np.allclose(out, [SQ2, SQ2])
 
 
 def test_h_flips_catalyst_with_eighth_turn_phase():
-    out = apply_gate(KET_PLUS_I.copy(), h(0))
+    out = run(circuit_of(1, h(0)), KET_PLUS_I.copy())
     overlap = np.vdot(KET_MINUS_I, out)
     assert abs(abs(overlap) - 1.0) <= 1e-13
     assert abs(np.angle(overlap) - math.pi / 4) <= 1e-13
@@ -166,16 +172,17 @@ def test_h_flips_catalyst_with_eighth_turn_phase():
 
 def test_ccz_phases_only_all_ones():
     psi = basis_state(3, 0b111)
-    out = apply_gate(psi, ccz(0, 1, 2))
+    out = run(circuit_of(3, ccz(0, 1, 2)), psi)
     assert np.allclose(out, -psi)
     for idx in range(7):
         before = basis_state(3, idx)
-        assert np.array_equal(apply_gate(before, ccz(0, 1, 2)), before)
+        assert np.array_equal(run(circuit_of(3, ccz(0, 1, 2)), before), before)
 
 
-def test_apply_gate_operand_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        apply_gate(KET_0.copy(), h(1))
+def test_one_gate_operand_out_of_range():
+    # The circuit rejects the operand before any state is touched.
+    with pytest.raises(CircuitError, match="uses qubit 1 but circuit has 1"):
+        run(circuit_of(1, h(1)), KET_0.copy())
 
 
 def test_run_empty_circuit_is_identity():
@@ -207,6 +214,122 @@ def test_norm_preserved_on_random_circuits():
         c = random_circuit(rng, n, 100)
         psi = run(c, basis_state(n, int(rng.integers(1 << n))))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+# --- simulator kernel against the tensordot reference ---
+
+DIAGONAL_ONES = (Gate.Z, Gate.S, Gate.SDG, Gate.CZ, Gate.CS, Gate.CCZ)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A gate kind, a width 1-10 and its operand placements.
+
+    Besides one random placement, every case also places the gate on the
+    last two wires, where the trailing blocks are shortest.
+    """
+    gate = draw(st.sampled_from(list(Gate)))
+    n = draw(st.integers(gate.arity, 10))
+    angle = draw(st.floats(-4 * math.pi, 4 * math.pi)) if gate.takes_angle else None
+    order = draw(st.permutations(range(n)))
+    placements = [tuple(order[: gate.arity])]
+    if n >= 2:
+        tail = draw(st.permutations([n - 2, n - 1]))
+        rest = [w for w in order if w < n - 2]
+        if gate.arity == 1:
+            placements += [(n - 2,), (n - 1,)]
+        else:
+            ops = draw(st.permutations(tail + rest[: gate.arity - 2]))
+            placements.append(tuple(ops))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return GateKind(gate, angle), n, placements, seed
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return (psi / np.linalg.norm(psi)).reshape([2] * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_tensordot_on_states(case):
+    kind, n, placements, seed = case
+    for qubits in placements:
+        psi = random_state(n, seed)
+        expected = _apply_tensor(psi, gate_matrix(kind), qubits)
+        got = _apply(psi.copy(), GateApp(kind, qubits))
+        assert got.shape == psi.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gate", [Gate.H, Gate.X, Gate.Y, Gate.RX, Gate.RY, Gate.CRY])
+def test_kernel_gemm_path_on_wide_states(gate):
+    # At 12 wires the short trailing blocks of the last wires take the
+    # kron(m, I_right) gemm, also on CRY's control=1 slice.
+    n = 12
+    kind = GateKind(gate, 0.9 if gate.takes_angle else None)
+    wire_sets = [(w,) for w in range(n - 5, n)]
+    if gate is Gate.CRY:
+        wire_sets = [(n - 1, n - 2), (n - 2, n - 1), (3, n - 1), (n - 1, 3), (0, 8)]
+    for qubits in wire_sets:
+        psi = random_state(n, 5)
+        expected = _apply_tensor(psi, gate_matrix(kind), qubits)
+        got = _apply(psi.copy(), GateApp(kind, qubits))
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_tensordot_on_identity_batch(case):
+    kind, n, placements, _ = case
+    dim = 1 << n
+    for qubits in placements:
+        eye = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+        expected = _apply_tensor(eye, gate_matrix(kind), qubits)
+        got = _apply(eye.copy(), GateApp(kind, qubits))
+        assert got.shape == eye.shape
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases().filter(lambda case: case[0].gate in DIAGONAL_ONES))
+def test_diagonal_gates_touch_only_the_all_ones_slice(case):
+    kind, n, placements, seed = case
+    for qubits in placements:
+        psi = random_state(n, seed)
+        got = _apply(psi.copy(), GateApp(kind, qubits))
+        index = np.arange(1 << n)
+        ones = np.ones(1 << n, dtype=bool)
+        for q in qubits:
+            ones &= ((index >> (n - 1 - q)) & 1) == 1
+        before = psi.reshape(-1)[~ones].view(np.uint64)
+        after = got.reshape(-1)[~ones].view(np.uint64)
+        assert np.array_equal(before, after)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_run_leaves_the_input_unchanged(n, seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, 12)
+    state = random_state(n, seed).reshape(-1)
+    kept = state.copy()
+    out = run(c, state)
+    assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
+    assert not np.shares_memory(out, state)
+
+
+# --- width caps ---
+
+def test_state_width_cap_is_checked_before_allocating(refuse_big_arrays):
+    too_wide = MAX_STATE_QUBITS + 1
+    with pytest.raises(ValueError, match="statevector capped"):
+        product_state(["0"] * too_wide)
+    with pytest.raises(ValueError, match="statevector capped"):
+        basis_state(too_wide, 0)
+    with pytest.raises(ValueError, match="statevector capped"):
+        run(Circuit(too_wide), KET_0.copy())
 
 
 # --- circuit_unitary ---
