@@ -5,39 +5,44 @@ spending at most one catalyst wire (|+i>, appended after the data wires) and
 at most one ancilla wire (|0>, X-prepped to |1> at first use, appended last).
 Data wires keep their source indices.
 
-Rule table (gates already admitted by the target pass through):
+``RULES`` is the only rule table. Each entry expands a gate over its own
+operands, the catalyst ``c`` and the ancilla ``a``:
 
-    CS d1 d2   -> H cat, CCZ d1 d2 cat, H cat, CCZ d1 d2 cat
-    S d        -> the CZ-pair form H cat, CZ d cat, H cat, CZ d cat with each
-                  CZ replaced by CCZ anc d cat (the target has no CZ)
-    SDG d      -> three S rewrites
-    RX(t) d    -> S d, RY(t) d, SDG d        (then S/SDG rewrite)
-    RZ(t) d    -> H d, RX(t) d, H d          (then RX rewrites)
-    CZ a b     -> CCZ anc a b
-    Y, CRY     -> not lowerable to a real target
+    CS d1 d2   -> gadgets.cs_gadget() on (c, d1, d2):
+                  H c, CCZ d1 d2 c, H c, CCZ d1 d2 c
+    S d        -> the same gadget on (c, a, d):
+                  H c, CCZ a d c, H c, CCZ a d c
+    CZ x y     -> CCZ a x y
+    SDG d      -> S d, S d, S d
+    RX(t) d    -> S d, RY(t) d, SDG d
+    RZ(t) d    -> H d, RX(t) d, H d
 
-Every identity the table relies on is registered in ``LEMMAS`` and
-machine-checked by dense matrix equality (see ``check_lemmas``).
+A gate the target admits passes through; any other gate is expanded through
+the table until every gate is admitted, or is not lowerable (Y and CRY have
+no entry). The ancilla's X prep is emitted just before the first expansion
+that names ``a``, and counts as an emitted gate, so {H, CCZ} takes CS but not
+S or CZ. ``check_lemmas`` checks every entry by dense matrix equality.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .gadgets import Gadget, cs_gadget
 from .ir import (
     Circuit,
     Gate,
     GateApp,
     GateKind,
     GateSetProfile,
-    ccz,
     check_membership,
     gate_counts,
-    h,
     x,
 )
 from .sim import (
@@ -59,43 +64,66 @@ class LoweringError(ValueError):
 # ``verify_lowering`` checks with a dense unitary.
 MAX_VERIFY_QUBITS = 6
 
+# A rule names the rewritten gate's operands 0, 1, ... and these two wires.
+# They are negative so that (*operands, catalyst, ancilla)[w] resolves any
+# wire of a rule, and (*wires, C, A)[w] maps a nested rule onto its caller.
+C, A = -2, -1
 
-def _mat(gate: Gate, angle: float | None = None) -> np.ndarray:
-    return gate_matrix(GateKind(gate, angle))
+Rule = tuple[tuple[Gate, tuple[int, ...]], ...]
 
+
+def _gadget_rule(g: Gadget, data: tuple[int, ...]) -> Rule:
+    """``g``'s circuit with its catalyst on C and its data wires on ``data``."""
+    wire = dict(zip((g.catalyst_qubit, *g.data_qubits), (C, *data)))
+    return tuple(
+        (app.kind.gate, tuple(wire[q] for q in app.qubits)) for app in g.circuit.gates
+    )
+
+
+# Angled gates in an expansion take the rewritten gate's angle.
+RULES: dict[Gate, Rule] = {
+    Gate.CS: _gadget_rule(cs_gadget(), (0, 1)),
+    Gate.S: _gadget_rule(cs_gadget(), (A, 0)),
+    Gate.CZ: ((Gate.CCZ, (A, 0, 1)),),
+    Gate.SDG: ((Gate.S, (0,)),) * 3,
+    Gate.RX: ((Gate.S, (0,)), (Gate.RY, (0,)), (Gate.SDG, (0,))),
+    Gate.RZ: ((Gate.H, (0,)), (Gate.RX, (0,)), (Gate.H, (0,))),
+}
 
 _LEMMA_THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)] + [0.7, -2.3]
 
-# (name, family of (claimed, direct) matrix pairs); equality is the check.
-LEMMAS: list[tuple[str, list[tuple[np.ndarray, np.ndarray]]]] = [
-    (
-        "sdg_is_s_cubed",
-        [(_mat(Gate.S) @ _mat(Gate.S) @ _mat(Gate.S), _mat(Gate.SDG))],
-    ),
-    (
-        "rx_is_sdg_ry_s_sandwich",
-        [
-            (_mat(Gate.SDG) @ _mat(Gate.RY, t) @ _mat(Gate.S), _mat(Gate.RX, t))
-            for t in _LEMMA_THETAS
-        ],
-    ),
-    (
-        "rz_is_h_rx_h_sandwich",
-        [
-            (_mat(Gate.H) @ _mat(Gate.RX, t) @ _mat(Gate.H), _mat(Gate.RZ, t))
-            for t in _LEMMA_THETAS
-        ],
-    ),
-]
+
+def _rule_error(gate: Gate, angle: float | None) -> float:
+    """Entrywise error of ``RULES[gate]`` against the gate it rewrites.
+
+    The expansion runs on the gate's operands plus the wires it names, with
+    the catalyst fixed |+i> -> |+i> and the ancilla |1> -> |1>. Phase is not
+    quotiented; a leaking catalyst or ancilla shows up as a non-unitary block.
+    """
+    rule = RULES[gate]
+    n = gate.arity
+    named = sorted({w for _, ws in rule for w in ws if w < 0})
+    added = {w: n + i for i, w in enumerate(named)}
+    circuit = Circuit(
+        n + len(added),
+        tuple(
+            GateApp(GateKind(g, angle if g.takes_angle else None),
+                    tuple(added.get(w, w) for w in ws))
+            for g, ws in rule
+        ),
+    )
+    fixed = {q: KET_PLUS_I if w == C else KET_1 for w, q in added.items()}
+    induced = project_wires(circuit_unitary(circuit), circuit.num_qubits, fixed, fixed)
+    return float(np.abs(induced - gate_matrix(GateKind(gate, angle))).max())
 
 
 def check_lemmas() -> float:
-    """Max entrywise error across the lemma table; callers assert it's tiny."""
-    worst = 0.0
-    for _, pairs in LEMMAS:
-        for claimed, direct in pairs:
-            worst = max(worst, float(np.abs(claimed - direct).max()))
-    return worst
+    """Max entrywise error over every ``RULES`` entry; callers assert it's tiny."""
+    return max(
+        _rule_error(gate, theta)
+        for gate in RULES
+        for theta in (_LEMMA_THETAS if gate.takes_angle else [None])
+    )
 
 
 @dataclass(frozen=True)
@@ -106,157 +134,118 @@ class LoweredCircuit:
     target: GateSetProfile
     catalyst_qubit: int | None
     ancilla_qubits: tuple[tuple[int, str], ...]
-    data_qubit_map: dict[int, int]
     counts: dict[Gate, int]
     s_gadget_instances: int
     cs_gadget_instances: int
     cz_substitutions: int
-    source_cs_gates: int
-    source_s_gates: int
 
 
-# Which rewrite each tag takes, per target profile name.
-_RULES: dict[str, dict[Gate, str]] = {
-    "FULL": {g: "pass" for g in Gate},
-    "HCS": {Gate.H: "pass", Gate.CS: "pass"},
-    "HCCZ": {Gate.H: "pass", Gate.CCZ: "pass", Gate.CS: "cs"},
-    "REAL_O2_CCZ": {
-        Gate.H: "pass",
-        Gate.X: "pass",
-        Gate.Z: "pass",
-        Gate.RY: "pass",
-        Gate.CCZ: "pass",
-        Gate.CS: "cs",
-        Gate.S: "s",
-        Gate.SDG: "sdg",
-        Gate.RX: "rx",
-        Gate.RZ: "rz",
-        Gate.CZ: "cz",
-    },
-}
-
-_NEEDS = {
-    "pass": (False, False),
-    "cs": (True, False),
-    "s": (True, True),
-    "sdg": (True, True),
-    "rx": (True, True),
-    "rz": (True, True),
-    "cz": (False, True),
-}
+# The ancilla's |0> -> |1> prep; ``_flatten`` puts it before every rule that
+# names the ancilla, and ``lower`` emits only the first one.
+_PREP = (Gate.X, (A,))
 
 
-class _Lowerer:
-    def __init__(self, source: Circuit, target: GateSetProfile):
-        if target.name not in _RULES:
-            raise LoweringError(f"no rule table for target profile {target.name!r}")
-        rules = _RULES[target.name]
-        need_cat = need_anc = False
-        for i, app in enumerate(source.gates):
-            rule = rules.get(app.kind.gate)
-            if rule is None:
-                raise LoweringError(
-                    f"gate {i} ({app.kind.gate.value}) is not lowerable to {target.name}"
-                )
-            c, a = _NEEDS[rule]
-            need_cat, need_anc = need_cat or c, need_anc or a
-        self.source = source
-        self.target = target
-        self.rules = rules
-        self.catalyst = source.num_qubits if need_cat else None
-        self.ancilla = (
-            source.num_qubits + (1 if need_cat else 0) if need_anc else None
-        )
-        self.gates: list[GateApp] = []
-        self.anc_prepped = False
-        self.s_instances = 0
-        self.cs_instances = 0
-        self.cz_subs = 0
-        self.ccz_by_source: list[int] = []
+def _flatten(gate: Gate, admits: Callable[[Gate], bool], fired: Counter) -> list | None:
+    """``gate`` on operands 0, 1, ... rewritten to admitted gates plus ``_PREP``
+    markers, or None if it has no rewrite; ``fired`` counts the rules used."""
+    if admits(gate):
+        return [(gate, tuple(range(gate.arity)))]
+    rule = RULES.get(gate)
+    if rule is None:
+        return None
+    fired[gate] += 1
+    out = [_PREP] if any(A in ws for _, ws in rule) else []
+    for sub, ws in rule:
+        inner = _flatten(sub, admits, fired)
+        if inner is None:
+            return None
+        frame = (*ws, C, A)
+        out += [(g, tuple(frame[w] for w in qs)) for g, qs in inner]
+    return out
 
-    def _prep_ancilla(self) -> None:
-        if not self.anc_prepped:
-            self.gates.append(x(self.ancilla))
-            self.anc_prepped = True
 
-    def _emit_s(self, d: int) -> int:
-        # CZ-pair gadget with both CZ's widened onto the |1> ancilla.
-        self._prep_ancilla()
-        cat = self.catalyst
-        self.gates += [
-            h(cat),
-            ccz(self.ancilla, d, cat),
-            h(cat),
-            ccz(self.ancilla, d, cat),
-        ]
-        self.s_instances += 1
-        return 2
+@dataclass(frozen=True)
+class _Plan:
+    """How one gate kind lowers, decided once per ``lower`` call.
 
-    def _emit(self, app: GateApp) -> int:
-        """Rewrite one source gate; returns the number of CCZ's it emitted."""
-        rule = self.rules[app.kind.gate]
-        if rule == "pass":
-            self.gates.append(app)
-            return 1 if app.kind.gate is Gate.CCZ else 0
-        if rule == "cs":
-            d1, d2 = app.qubits
-            cat = self.catalyst
-            self.gates += [h(cat), ccz(d1, d2, cat), h(cat), ccz(d1, d2, cat)]
-            self.cs_instances += 1
-            return 2
-        if rule == "s":
-            return self._emit_s(app.qubits[0])
-        if rule == "sdg":
-            d = app.qubits[0]
-            return sum(self._emit_s(d) for _ in range(3))
-        if rule == "rx":
-            d = app.qubits[0]
-            n = self._emit_s(d)
-            self.gates.append(GateApp(GateKind(Gate.RY, app.kind.angle), (d,)))
-            return n + sum(self._emit_s(d) for _ in range(3))
-        if rule == "rz":
-            d = app.qubits[0]
-            self.gates.append(h(d))
-            n = self._emit(GateApp(GateKind(Gate.RX, app.kind.angle), (d,)))
-            self.gates.append(h(d))
-            return n
-        # rule == "cz"
-        a, b = app.qubits
-        self._prep_ancilla()
-        self.gates.append(ccz(self.ancilla, a, b))
-        self.cz_subs += 1
-        return 1
+    ``gates`` holds (tag, shared GateKind or None for angled tags, wires over
+    (*operands, catalyst, ancilla)); the ancilla prep, if still due, goes
+    before ``gates[prep_at]``. No fired rule means the gate passes through.
+    """
 
-    def build(self) -> LoweredCircuit:
-        for app in self.source.gates:
-            self.ccz_by_source.append(self._emit(app))
-        n = self.source.num_qubits + (self.catalyst is not None) + (
-            self.ancilla is not None
-        )
-        circuit = Circuit(n, tuple(self.gates))
-        assert not check_membership(circuit, self.target)
-        return LoweredCircuit(
-            circuit=circuit,
-            target=self.target,
-            catalyst_qubit=self.catalyst,
-            ancilla_qubits=((self.ancilla, "0"),) if self.ancilla is not None else (),
-            data_qubit_map={q: q for q in range(self.source.num_qubits)},
-            counts=gate_counts(circuit),
-            s_gadget_instances=self.s_instances,
-            cs_gadget_instances=self.cs_instances,
-            cz_substitutions=self.cz_subs,
-            source_cs_gates=sum(
-                1 for g in self.source.gates if g.kind.gate is Gate.CS
-            ),
-            source_s_gates=sum(
-                1 for g in self.source.gates if g.kind.gate is Gate.S
-            ),
-        )
+    gates: tuple[tuple[Gate, GateKind | None, tuple[int, ...]], ...]
+    prep_at: int | None
+    fired: Counter
+
+
+def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
+    fired: Counter = Counter()
+    flat = _flatten(gate, target.admits, fired)
+    # The X prep is an emitted gate too, so it must be admitted.
+    if flat is None or not all(target.admits(g) for g, _ in flat):
+        return None
+    return _Plan(
+        gates=tuple(
+            (g, None if g.takes_angle else GateKind(g), ws)
+            for g, ws in flat
+            if (g, ws) != _PREP
+        ),
+        prep_at=flat.index(_PREP) if _PREP in flat else None,
+        fired=fired,
+    )
 
 
 def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
     """Rewrite ``c`` into ``target``; raises LoweringError if any gate can't go."""
-    return _Lowerer(c, target).build()
+    plans: dict[Gate, _Plan] = {}
+    for i, app in enumerate(c.gates):
+        gate = app.kind.gate
+        if gate not in plans:
+            plan = _plan(gate, target)
+            if plan is None:
+                raise LoweringError(
+                    f"gate {i} ({gate.value}) is not lowerable to {target.name}"
+                )
+            plans[gate] = plan
+    need_cat = any(C in ws for p in plans.values() for _, _, ws in p.gates)
+    need_anc = any(p.prep_at is not None for p in plans.values())
+    cat = c.num_qubits if need_cat else None
+    anc = c.num_qubits + need_cat if need_anc else None
+
+    gates: list[GateApp] = []
+    prepped = False
+    for app in c.gates:
+        plan = plans[app.kind.gate]
+        if not plan.fired:
+            gates.append(app)
+            continue
+        frame = (*app.qubits, cat, anc)
+        new = [
+            GateApp(kind or GateKind(g, app.kind.angle), tuple(frame[w] for w in ws))
+            for g, kind, ws in plan.gates
+        ]
+        if plan.prep_at is not None and not prepped:
+            new.insert(plan.prep_at, x(anc))
+            prepped = True
+        gates += new
+    circuit = Circuit(c.num_qubits + need_cat + need_anc, tuple(gates))
+    assert not check_membership(circuit, target)
+
+    kinds = Counter(app.kind.gate for app in c.gates)
+
+    def instances(rule: Gate) -> int:
+        return sum(k * plans[g].fired[rule] for g, k in kinds.items())
+
+    return LoweredCircuit(
+        circuit=circuit,
+        target=target,
+        catalyst_qubit=cat,
+        ancilla_qubits=((anc, "0"),) if need_anc else (),
+        counts=gate_counts(circuit),
+        s_gadget_instances=instances(Gate.S),
+        cs_gadget_instances=instances(Gate.CS),
+        cz_substitutions=instances(Gate.CZ),
+    )
 
 
 _REPORT_NOTES = (
@@ -290,10 +279,14 @@ class CountReport:
         return json.dumps(payload, indent=2)
 
 
+def _ccz_per(gate: Gate) -> float:
+    return float(sum(g is Gate.CCZ for g, _ in RULES[gate]))
+
+
 def count_report(lowered: LoweredCircuit) -> CountReport:
     """Gate-count accounting for a lowering, including per-gadget CCZ rates."""
-    per_cs = 2.0 if lowered.cs_gadget_instances else None
-    per_s = 2.0 if lowered.s_gadget_instances else None
+    per_cs = _ccz_per(Gate.CS) if lowered.cs_gadget_instances else None
+    per_s = _ccz_per(Gate.S) if lowered.s_gadget_instances else None
     return CountReport(
         counts={g.value: lowered.counts[g] for g in Gate},
         catalyst=lowered.catalyst_qubit is not None,
@@ -345,7 +338,7 @@ def catalyst_return_deficit(lowered: LoweredCircuit) -> float:
         return 0.0
     n_low = _verify_width(lowered)
     u_low = circuit_unitary(lowered.circuit)
-    n_data = len(lowered.data_qubit_map)
+    n_data = n_low - 1 - len(lowered.ancilla_qubits)
     fixed = {lowered.catalyst_qubit: KET_PLUS_I}
     for anc, _state in lowered.ancilla_qubits:
         fixed[anc] = KET_0

@@ -125,6 +125,23 @@ def test_lower_missing_file_is_reported(tmp_path, capsys):
     assert payload["ok"] is False
 
 
+def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys):
+    src = tmp_path / "s5.txt"
+    src.write_text("qubits 5\nS 0\n")  # 5 data + catalyst + ancilla = 7 wires
+    out_file = tmp_path / "lowered.txt"
+    code, payload, err = run_json(
+        ["lower", str(src), "--target", "REAL_O2_CCZ", "--out", str(out_file)], capsys
+    )
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["metrics"]["verify_skipped"] == 1.0
+    assert payload["metrics"]["total_qubits"] == 7.0
+    assert "distance" not in payload["metrics"]
+    assert "not verified" in err
+    assert payload["artifacts"] == [str(out_file)]
+    assert parse_circuit(out_file.read_text()).num_qubits == 7
+
+
 def test_lower_output_is_byte_stable(tmp_path, capsys):
     src = tmp_path / "cs.txt"
     src.write_text(CS_TEXT)

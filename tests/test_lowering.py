@@ -1,16 +1,20 @@
 """Lowering pass: rule soundness, resource bounds, count law, reports."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyq.ir import (
     FULL,
     HCCZ,
     HCS,
+    PROFILES,
     REAL_O2_CCZ,
     Circuit,
     Gate,
@@ -24,11 +28,15 @@ from catalyq.ir import (
     gate_counts,
     h,
     ry,
+    rz,
     s,
+    serialize_circuit,
     x,
     z,
 )
 from catalyq.lowering import (
+    C,
+    RULES,
     LoweringError,
     check_lemmas,
     count_report,
@@ -49,6 +57,22 @@ def single_gate_circuit(gate, theta=None):
 
 def test_lemma_table():
     assert check_lemmas() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "gate, broken",
+    [
+        # RX with S and SDG swapped computes RX(-t).
+        (Gate.RX, ((Gate.SDG, (0,)), (Gate.RY, (0,)), (Gate.S, (0,)))),
+        # S gadget with its second CCZ dropped: the catalyst leaks.
+        (Gate.S, RULES[Gate.S][:3]),
+        # CZ widened onto the catalyst instead of the |1> ancilla.
+        (Gate.CZ, ((Gate.CCZ, (C, 0, 1)),)),
+    ],
+)
+def test_corrupted_rule_fails_lemma_check(monkeypatch, gate, broken):
+    monkeypatch.setitem(RULES, gate, broken)
+    assert check_lemmas() > 1e-6
 
 
 # --- per-rule soundness ---
@@ -210,6 +234,123 @@ def test_count_law_with_source_ccz_passthrough():
         + low.cz_substitutions
     )
     assert low.counts[Gate.CCZ] == law + 2  # the two source CCZ ride through
+
+
+# --- accept/reject per gate and profile ---
+
+LOWERABLE_TO = {
+    "FULL": set(Gate),
+    "HCS": {Gate.H, Gate.CS},
+    "HCCZ": {Gate.H, Gate.CS, Gate.CCZ},
+    "REAL_O2_CCZ": set(Gate) - {Gate.Y, Gate.CRY},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("gate", list(Gate))
+def test_accept_reject_every_gate_every_profile(gate, name):
+    angle = 0.3 if gate.takes_angle else None
+    app = GateApp(GateKind(gate, angle), tuple(range(gate.arity)))
+    src = Circuit(3, (h(0), app))
+    if gate in LOWERABLE_TO[name]:
+        low = lower(src, PROFILES[name])
+        assert check_membership(low.circuit, PROFILES[name]) == []
+        assert verify_lowering(src, low).ok
+    else:
+        with pytest.raises(LoweringError) as exc:
+            lower(src, PROFILES[name])
+        assert str(exc.value) == f"gate 1 ({gate.value}) is not lowerable to {name}"
+
+
+@st.composite
+def source_circuits(draw):
+    n = draw(st.integers(1, 3))
+    apps = []
+    for gate in draw(st.lists(st.sampled_from([g for g in Gate if g.arity <= n]), max_size=8)):
+        qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if gate.takes_angle else None
+        apps.append(GateApp(GateKind(gate, angle), qubits))
+    return Circuit(n, tuple(apps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(source_circuits())
+def test_lowering_is_verified_or_names_first_bad_gate(src):
+    for name, profile in PROFILES.items():
+        bad = [i for i, g in enumerate(src.gates) if g.kind.gate not in LOWERABLE_TO[name]]
+        if bad:
+            with pytest.raises(LoweringError, match=rf"^gate {bad[0]} \("):
+                lower(src, profile)
+            continue
+        low = lower(src, profile)
+        assert check_membership(low.circuit, profile) == []
+        chk = verify_lowering(src, low)
+        assert chk.ok, (name, chk.distance, chk.catalyst_deficit)
+
+
+# --- lowered output pinned byte for byte ---
+
+def _every_gate(order):
+    # Every gate REAL_O2_CCZ can lower, cycling over the operands of 3 wires.
+    apps = []
+    for i, gate in enumerate(g for g in order if g not in (Gate.Y, Gate.CRY)):
+        qubits = tuple((i + k) % 3 for k in range(gate.arity))
+        apps.append(GateApp(GateKind(gate, 0.3 + i if gate.takes_angle else None), qubits))
+    return Circuit(3, tuple(apps))
+
+
+GOLDEN_SOURCES = {
+    "every_gate": _every_gate(list(Gate)),
+    "every_gate_reversed": _every_gate(list(reversed(Gate))),
+    # The ancilla prep lands between RZ's leading H and its first S gadget.
+    "rz_first": Circuit(3, (rz(0.5, 1), s(0), cz(0, 2), cs(1, 2), rz(-0.5, 2))),
+    "mix_short": random_circuit(np.random.default_rng(4242), 3, 300, tags=SOURCE_TAGS),
+    "mix_long": random_circuit(np.random.default_rng(4343), 5, 2200, tags=SOURCE_TAGS),
+    "hccz_mix": random_circuit(
+        np.random.default_rng(4444), 4, 300, tags=(Gate.H, Gate.CS, Gate.CCZ)
+    ),
+}
+
+# sha256 of serialize_circuit, then S gadgets, CS gadgets, CZ substitutions.
+GOLDEN_LOWERINGS = {
+    ("every_gate", "REAL_O2_CCZ"): (
+        "1fc1cfcb4786c2417acbd6b0c3445ab8ca403579e8bf97f3659d9a63972cc7c4", 12, 1, 1),
+    ("every_gate_reversed", "REAL_O2_CCZ"): (
+        "4d115c0e655f5d30c62ffa5f223cbd48dc87d48187ff617eaaefb68895899b55", 12, 1, 1),
+    ("rz_first", "REAL_O2_CCZ"): (
+        "a7e6c3bfebeb8c75653fb1a6c3be2642fb7223fe2c164162b23a60daaba8e113", 9, 1, 1),
+    ("mix_short", "REAL_O2_CCZ"): (
+        "9bed1ee7eae065a8e22be415f65f4bc1aed3f21ebc63847a32fea92b8413d6c6", 475, 40, 28),
+    ("mix_long", "REAL_O2_CCZ"): (
+        "2924bf2e99358cc7a25e478e8c22c9d07d6666f344249c75054fceaf299d7a21", 3264, 281, 297),
+    ("hccz_mix", "REAL_O2_CCZ"): (
+        "bc944ef8031727c4984436575e291cca0afc8d2cc0f78d691763c038d00cbda1", 0, 115, 0),
+    ("hccz_mix", "HCCZ"): (
+        "bc944ef8031727c4984436575e291cca0afc8d2cc0f78d691763c038d00cbda1", 0, 115, 0),
+}
+
+GOLDEN_REJECTIONS = {
+    ("every_gate", "HCCZ"): "gate 1 (X) is not lowerable to HCCZ",
+    ("every_gate_reversed", "HCCZ"): "gate 2 (CZ) is not lowerable to HCCZ",
+    ("rz_first", "HCCZ"): "gate 0 (RZ) is not lowerable to HCCZ",
+    ("mix_short", "HCCZ"): "gate 2 (RY) is not lowerable to HCCZ",
+    ("mix_long", "HCCZ"): "gate 0 (RY) is not lowerable to HCCZ",
+}
+
+
+@pytest.mark.parametrize("source, target", sorted(GOLDEN_LOWERINGS))
+def test_lowered_output_is_pinned(source, target):
+    low = lower(GOLDEN_SOURCES[source], PROFILES[target])
+    digest = hashlib.sha256(serialize_circuit(low.circuit).encode()).hexdigest()
+    got = (digest, low.s_gadget_instances, low.cs_gadget_instances, low.cz_substitutions)
+    assert got == GOLDEN_LOWERINGS[source, target]
+
+
+@pytest.mark.parametrize("source, target", sorted(GOLDEN_REJECTIONS))
+def test_golden_rejections(source, target):
+    with pytest.raises(LoweringError) as exc:
+        lower(GOLDEN_SOURCES[source], PROFILES[target])
+    assert str(exc.value) == GOLDEN_REJECTIONS[source, target]
 
 
 # --- negative control: a corrupted lowering must fail verification ---
