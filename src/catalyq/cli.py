@@ -27,7 +27,7 @@ from .ir import (
     parse_circuit,
     serialize_circuit,
 )
-from .lowering import MAX_VERIFY_QUBITS, LoweringError, count_report, lower, verify_lowering
+from .lowering import LoweringError, count_report, lower, verify_lowering
 from .sim import product_state, run
 from .synth import SynthesisError, haar_su, parse_matrix, synthesize
 
@@ -115,18 +115,20 @@ def cmd_lower(args: argparse.Namespace) -> RunReport:
         "total_qubits": float(n_low),
         "ccz_count": float(lowered.counts[Gate.CCZ]),
     }
-    # A lowering too wide to check densely is written out but never ok.
-    ok = False
-    if n_low <= MAX_VERIFY_QUBITS:
+    # A lowering too wide to check densely is written out but never ok; the
+    # column pass refuses it before allocating.
+    try:
         check = verify_lowering(source, lowered)
+    except ValueError as exc:
+        ok = False
+        metrics["verify_skipped"] = 1.0
+        print(f"not verified: {exc}", file=sys.stderr)
+    else:
         ok = check.ok
         metrics["distance"] = check.distance
         metrics["catalyst_deficit"] = check.catalyst_deficit
+        metrics["leakage"] = check.leakage
         metrics["verify_skipped"] = 0.0
-    else:
-        metrics["verify_skipped"] = 1.0
-        print(f"not verified: {n_low} qubits, dense check capped at {MAX_VERIFY_QUBITS}",
-              file=sys.stderr)
     artifacts = []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

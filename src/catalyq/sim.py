@@ -7,13 +7,15 @@ gate's own index space; controlled gates list controls first.
 
 Statevectors are 1-D complex ndarrays of length 2^n; unitaries are square
 complex ndarrays. Statevectors are capped at ``MAX_STATE_QUBITS`` (24, a
-256 MiB state) and dense unitaries at ``MAX_DENSE_QUBITS`` (12); both caps
-are checked before any 2^n array is allocated.
+256 MiB state) and column passes, dense unitaries among them, at
+``MAX_DENSE_QUBITS`` (12) wires; both caps are checked before any 2^n array
+is allocated.
 
 ``run`` copies its input once, so the caller's array is never written;
-``circuit_unitary`` starts from the identity, with the columns as a trailing
-batch axis. Both apply each gate with one kernel, ``_apply``, which never
-builds the gate's embedding:
+``evolve_columns`` starts from one basis column per input of the free wires,
+with each fixed wire fed its ket and the columns as a trailing batch axis
+(``circuit_unitary`` is the case with nothing fixed). Both apply each gate
+with one kernel, ``_apply``, which never builds the gate's embedding:
 
 - diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
   slice where every operand bit is 1 by the gate's phase (RZ phases both
@@ -211,19 +213,37 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     return psi.reshape(-1)
 
 
+def evolve_columns(c: Circuit, fixed: dict[int, np.ndarray]) -> np.ndarray:
+    """``c`` applied to every basis input of its free wires at once.
+
+    Wire w in ``fixed`` is fed the single-qubit ket ``fixed[w]``; the other
+    k wires are free. Returns the output tensor of shape (2,)*n + (2**k,):
+    column j is the output state for the input whose free wires, in
+    ascending order with the first as the most significant bit, spell j.
+    Nothing is projected out. With nothing fixed the columns are those of
+    ``circuit_unitary``. Capped at ``MAX_DENSE_QUBITS`` wires, checked
+    before any array is allocated.
+    """
+    n = c.num_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
+    if not all(0 <= w < n for w in fixed):
+        raise ValueError(f"fixed wires {sorted(fixed)} out of range for {n} qubits")
+    cols = 1 << (n - len(fixed))
+    psi = np.eye(cols, dtype=complex).reshape((2,) * (n - len(fixed)) + (cols,))
+    # Wires below w already have their axes, so w's axis goes in at w.
+    for w in sorted(fixed):
+        ket = np.asarray(fixed[w], dtype=complex).reshape((2,) + (1,) * (psi.ndim - w))
+        psi = np.expand_dims(psi, w) * ket
+    for app in c.gates:
+        psi = _apply(psi, app)
+    return psi
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (execution order, qubit 0 = MSB)."""
-    if c.num_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense unitary capped at {MAX_DENSE_QUBITS} qubits, got {c.num_qubits}"
-        )
-    n = c.num_qubits
-    dim = 1 << n
-    # Columns are basis-state evolutions; the trailing axis is the batch.
-    u = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    for app in c.gates:
-        u = _apply(u, app)
-    return u.reshape(dim, dim)
+    dim = 1 << c.num_qubits
+    return evolve_columns(c, {}).reshape(dim, dim)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cossin, schur
 
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz, h
-from .lowering import LoweredCircuit, catalyst_return_deficit, induced_block, lower
+from .lowering import LoweredCircuit, induce, lower
 from .sim import circuit_unitary, gate_matrix, phase_aligned_distance
 
 
@@ -218,15 +218,15 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
     u = _check_unitary(u)
     source = decompose_su2m(u)
     lowered = lower(source, REAL_O2_CCZ)
-    block = induced_block(lowered)
-    distance = phase_aligned_distance(block, u)
+    got = induce(lowered)
+    distance = phase_aligned_distance(got.block, u)
     if distance > 1e-8:
         raise SynthesisError(f"synthesis verification failed (distance {distance:.3e})")
     return SynthesisResult(
         lowered=lowered,
         target_dim=u.shape[0],
         distance=distance,
-        catalyst_deficit=catalyst_return_deficit(lowered),
+        catalyst_deficit=got.catalyst_deficit,
     )
 
 

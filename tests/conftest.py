@@ -27,6 +27,7 @@ def refuse_big_arrays(monkeypatch):
         raise AssertionError("allocated past the width guard")
 
     monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
     monkeypatch.setattr(np, "kron", refuse)
 
 

@@ -125,9 +125,24 @@ def test_lower_missing_file_is_reported(tmp_path, capsys):
     assert payload["ok"] is False
 
 
-def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys):
+def test_lower_verifies_five_data_wires(tmp_path, capsys):
     src = tmp_path / "s5.txt"
     src.write_text("qubits 5\nS 0\n")  # 5 data + catalyst + ancilla = 7 wires
+    code, payload, err = run_json(["lower", str(src), "--target", "REAL_O2_CCZ"], capsys)
+    assert code == 0
+    assert payload["ok"] is True
+    metrics = payload["metrics"]
+    assert metrics["verify_skipped"] == 0.0
+    assert metrics["total_qubits"] == 7.0
+    assert metrics["distance"] <= 1e-12
+    assert metrics["catalyst_deficit"] <= 1e-12
+    assert metrics["leakage"] <= 1e-12
+    assert err == ""
+
+
+def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys, refuse_big_arrays):
+    src = tmp_path / "s11.txt"
+    src.write_text("qubits 11\nS 0\n")  # 11 data + catalyst + ancilla = 13 wires
     out_file = tmp_path / "lowered.txt"
     code, payload, err = run_json(
         ["lower", str(src), "--target", "REAL_O2_CCZ", "--out", str(out_file)], capsys
@@ -135,11 +150,11 @@ def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys):
     assert code == 1
     assert payload["ok"] is False
     assert payload["metrics"]["verify_skipped"] == 1.0
-    assert payload["metrics"]["total_qubits"] == 7.0
+    assert payload["metrics"]["total_qubits"] == 13.0
     assert "distance" not in payload["metrics"]
     assert "not verified" in err
     assert payload["artifacts"] == [str(out_file)]
-    assert parse_circuit(out_file.read_text()).num_qubits == 7
+    assert parse_circuit(out_file.read_text()).num_qubits == 13
 
 
 def test_lower_output_is_byte_stable(tmp_path, capsys):

@@ -40,10 +40,12 @@ from catalyq.lowering import (
     LoweringError,
     check_lemmas,
     count_report,
+    induce,
     induced_block,
     lower,
     verify_lowering,
 )
+from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary, project_wires
 from conftest import random_circuit
 
 THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)]
@@ -369,11 +371,79 @@ def test_corrupted_lowering_detected():
     assert chk.distance > 0.1
 
 
-def test_verify_lowering_size_cap():
-    src = Circuit(5, (s(0),))
-    low = lower(src, REAL_O2_CCZ)  # 5 data + catalyst + ancilla = 7 wires
+def test_lowering_without_ancilla_prep_leaks():
+    src = circuit_of(1, s(0))
+    low = lower(src, REAL_O2_CCZ)
+    gates = tuple(g for g in low.circuit.gates if g.kind.gate is not Gate.X)
+    broken = dataclasses.replace(low, circuit=Circuit(low.circuit.num_qubits, gates))
+    chk = verify_lowering(src, broken)
+    assert chk.leakage == pytest.approx(1.0)
+    assert not chk.ok
+    assert verify_lowering(src, low).leakage <= 1e-12
+
+
+def test_verify_lowering_size_cap(refuse_big_arrays):
+    src = Circuit(11, (s(0),))
+    low = lower(src, REAL_O2_CCZ)  # 11 data + catalyst + ancilla = 13 wires
     with pytest.raises(ValueError, match="capped"):
         verify_lowering(src, low)
+
+
+# --- the column pass against the full dense unitary ---
+
+def reference_block(lowered):
+    """The induced block from the lowered circuit's full dense unitary."""
+    n_low = lowered.circuit.num_qubits
+    ins, outs = {}, {}
+    if lowered.catalyst_qubit is not None:
+        ins[lowered.catalyst_qubit] = outs[lowered.catalyst_qubit] = KET_PLUS_I
+    for anc, _state in lowered.ancilla_qubits:
+        ins[anc], outs[anc] = KET_0, KET_1
+    return project_wires(circuit_unitary(lowered.circuit), n_low, ins, outs)
+
+
+def kron_loop_deficit(lowered):
+    """Catalyst return deficit from the full unitary, one np.kron-built input
+    per data basis state."""
+    if lowered.catalyst_qubit is None:
+        return 0.0
+    n_low = lowered.circuit.num_qubits
+    u_low = circuit_unitary(lowered.circuit)
+    n_data = n_low - 1 - len(lowered.ancilla_qubits)
+    fixed = {lowered.catalyst_qubit: KET_PLUS_I}
+    for anc, _state in lowered.ancilla_qubits:
+        fixed[anc] = KET_0
+    deficit = 0.0
+    for k in range(1 << n_data):
+        vec = np.array([1.0], dtype=complex)
+        for q in range(n_low):
+            if q in fixed:
+                vec = np.kron(vec, fixed[q])
+            else:
+                bit = (k >> (n_data - 1 - q)) & 1
+                vec = np.kron(vec, KET_1 if bit else KET_0)
+        out = (u_low @ vec).reshape([2] * n_low)
+        kept = np.tensordot(
+            KET_PLUS_I.conj(), out, axes=([0], [lowered.catalyst_qubit])
+        )
+        deficit = max(deficit, 1.0 - float(np.linalg.norm(kept)))
+    return deficit
+
+
+@settings(max_examples=40, deadline=None)
+@given(source_circuits())
+def test_column_pass_matches_full_unitary(src):
+    for profile in PROFILES.values():
+        try:
+            low = lower(src, profile)
+        except LoweringError:
+            continue
+        got = induce(low)
+        want = reference_block(low)
+        assert np.abs(got.block - want).max() <= 1e-12
+        assert abs(got.catalyst_deficit - kron_loop_deficit(low)) <= 1e-12
+        leakage = float(np.max(1.0 - np.linalg.norm(want, axis=0)))
+        assert abs(got.leakage - leakage) <= 1e-12
 
 
 # --- count report ---

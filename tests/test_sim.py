@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalyq.gadgets import cs_gadget
 from catalyq.ir import (
     HCCZ,
     REAL_O2_CCZ,
@@ -36,10 +37,12 @@ from catalyq.sim import (
     _apply_tensor,
     basis_state,
     circuit_unitary,
+    evolve_columns,
     extract_catalytic,
     gate_matrix,
     phase_aligned_distance,
     product_state,
+    project_wires,
     run,
 )
 from conftest import random_circuit
@@ -330,6 +333,69 @@ def test_state_width_cap_is_checked_before_allocating(refuse_big_arrays):
         basis_state(too_wide, 0)
     with pytest.raises(ValueError, match="statevector capped"):
         run(Circuit(too_wide), KET_0.copy())
+
+
+def test_column_pass_width_cap_is_checked_before_allocating(refuse_big_arrays):
+    too_wide = Circuit(MAX_DENSE_QUBITS + 1)
+    with pytest.raises(ValueError, match="capped at 12 qubits, got 13"):
+        evolve_columns(too_wide, {MAX_DENSE_QUBITS: KET_PLUS_I})
+    with pytest.raises(ValueError, match="capped at 12 qubits, got 13"):
+        circuit_unitary(too_wide)
+
+
+# --- evolve_columns ---
+
+@st.composite
+def column_cases(draw):
+    n = draw(st.integers(1, 5))
+    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, 12)
+    wires = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kets = draw(st.lists(st.sampled_from([KET_0, KET_1, KET_PLUS_I, KET_MINUS_I]),
+                         min_size=len(wires), max_size=len(wires)))
+    return c, dict(zip(wires, kets))
+
+
+def kron_inputs(n, fixed):
+    """One column per basis input of the free wires, built by np.kron."""
+    free = [q for q in range(n) if q not in fixed]
+    columns = []
+    for j in range(1 << len(free)):
+        vec = np.array([1.0], dtype=complex)
+        for q in range(n):
+            if q in fixed:
+                vec = np.kron(vec, fixed[q])
+            else:
+                bit = (j >> (len(free) - 1 - free.index(q))) & 1
+                vec = np.kron(vec, KET_1 if bit else KET_0)
+        columns.append(vec)
+    return np.stack(columns, axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_cases())
+def test_columns_are_the_unitary_on_fixed_inputs(case):
+    c, fixed = case
+    n = c.num_qubits
+    cols = evolve_columns(c, fixed)
+    assert cols.shape == (2,) * n + (1 << (n - len(fixed)),)
+    want = oracle_unitary(c) @ kron_inputs(n, fixed)
+    assert np.abs(cols.reshape(1 << n, -1) - want).max() <= 1e-12
+
+
+def test_columns_with_the_catalyst_on_wire_zero():
+    # The gadgets put the catalyst first; projecting it back out of the
+    # columns gives the induced operator that project_wires finds.
+    g = cs_gadget()
+    cols = evolve_columns(g.circuit, {0: KET_PLUS_I})
+    block = np.tensordot(KET_PLUS_I.conj(), cols, axes=([0], [0])).reshape(4, 4)
+    full = project_wires(circuit_unitary(g.circuit), 3, {0: KET_PLUS_I}, {0: KET_PLUS_I})
+    assert np.abs(block - full).max() <= 1e-12
+    assert np.abs(block - g.claimed_induced).max() <= 1e-12
+
+
+def test_column_pass_rejects_fixed_wires_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        evolve_columns(Circuit(2), {2: KET_0})
 
 
 # --- circuit_unitary ---
