@@ -29,7 +29,7 @@ from .ir import (
 )
 from .lowering import LoweringError, count_report, lower, verify_lowering
 from .sim import product_state, run
-from .synth import SynthesisError, haar_su, parse_matrix, synthesize
+from .synth import VERIFY_TOL, SynthesisError, haar_su, parse_matrix, synthesize
 
 
 @dataclass
@@ -161,11 +161,12 @@ def cmd_synthesize(args: argparse.Namespace) -> RunReport:
     circuit_text = serialize_circuit(result.lowered.circuit)
     rep = RunReport(
         command="synthesize",
-        ok=result.distance <= 1e-8,
+        ok=max(result.distance, result.catalyst_deficit, result.leakage) <= VERIFY_TOL,
         metrics={
             "distance": result.distance,
             "ccz_count": float(result.lowered.counts[Gate.CCZ]),
             "catalyst_deficit": result.catalyst_deficit,
+            "leakage": result.leakage,
             "total_qubits": float(result.lowered.circuit.num_qubits),
         },
         extra={"circuit": circuit_text},

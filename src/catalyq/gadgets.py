@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, ccz, cry, cz, h
+from .ir import HCCZ, Circuit, check_membership, ccz, cry, cz, h
 from .ir import Gate, GateKind
 from .sim import (
     KET_0,
@@ -20,16 +20,15 @@ from .sim import (
     KET_MINUS_I,
     KET_PLUS_I,
     CatalyticReport,
-    basis_state,
-    circuit_unitary,
-    extract_catalytic,
+    catalytic_report,
+    evolve_columns,
     gate_matrix,
-    project_wires,
-    run,
+    project,
 )
 
 _S = gate_matrix(GateKind(Gate.S))
 _CS = gate_matrix(GateKind(Gate.CS))
+_BITS = (KET_0, KET_1)
 
 
 @dataclass(frozen=True)
@@ -114,23 +113,18 @@ def cs_gadget() -> Gadget:
 def induced_on_data(g: Gadget, tol: float = 1e-12) -> tuple[np.ndarray, CatalyticReport]:
     """Extract the operator a gadget applies to its data register.
 
-    Factors the circuit across the catalyst, then contracts any aux wires
-    between their declared input and output basis states. The result acts on
-    ``g.data_qubits`` (always ascending by construction).
+    One column pass feeds the catalyst |+i> and each aux wire its in-bit; the
+    block projects each aux wire onto its out-bit, acts on ``g.data_qubits``
+    (ascending by construction) and is empty if the gadget is not catalytic.
     """
-    u = circuit_unitary(g.circuit)
-    report = extract_catalytic(u, g.catalyst_qubit, KET_PLUS_I, tol)
+    ins = {g.catalyst_qubit: KET_PLUS_I}
+    outs = dict(ins)
+    for a in g.aux:
+        ins[a.qubit], outs[a.qubit] = _BITS[a.in_bit], _BITS[a.out_bit]
+    report = catalytic_report(evolve_columns(g.circuit, ins), g.catalyst_qubit, outs, tol)
     if report.induced is None:
         return np.zeros((0, 0), dtype=complex), report
-    if not g.aux:
-        return report.induced, report
-    # Wire w of the circuit sits at position rank(w) among non-catalyst wires.
-    rest = [q for q in range(g.circuit.num_qubits) if q != g.catalyst_qubit]
-    pos = {q: i for i, q in enumerate(rest)}
-    ins = {pos[a.qubit]: (KET_0, KET_1)[a.in_bit] for a in g.aux}
-    outs = {pos[a.qubit]: (KET_0, KET_1)[a.out_bit] for a in g.aux}
-    block = project_wires(report.induced, len(rest), ins, outs)
-    return block, report
+    return report.induced, report
 
 
 @dataclass(frozen=True)
@@ -149,37 +143,22 @@ def verify_one_prep(c: Circuit, target_qubit: int, tol: float = 1e-10) -> PrepCh
     All 2^(n-1) bystander basis states must ride along unchanged, up to one
     global phase shared by every input; the phase is aligned on the first
     basis state and reported so a strict caller can demand it be zero.
-    ``gate_set_ok`` records whether the circuit stays inside {H, CCZ}.
+    ``gate_set_ok`` records whether the circuit stays inside {H, CCZ}. It is
+    one column pass, so past ``sim.MAX_DENSE_QUBITS`` wires it raises.
     """
-    from .ir import HCCZ, check_membership
-
-    n = c.num_qubits
-    if not 0 <= target_qubit < n:
+    if not 0 <= target_qubit < c.num_qubits:
         raise ValueError(f"target qubit {target_qubit} out of range")
-    shift = n - 1 - target_qubit
-    rest = [q for q in range(n) if q != target_qubit]
-    phase = 0.0
-    lam = 1.0 + 0.0j
-    max_error = 0.0
-    for k in range(1 << (n - 1)):
-        # Scatter the bystander bits around the target wire.
-        idx_in = 0
-        for j, q in enumerate(rest):
-            bit = (k >> (n - 2 - j)) & 1
-            idx_in |= bit << (n - 1 - q)
-        out = run(c, basis_state(n, idx_in))
-        expected = basis_state(n, idx_in | (1 << shift))
-        if k == 0:
-            overlap = complex(np.vdot(expected, out))
-            if abs(overlap) > 1e-12:
-                lam = overlap / abs(overlap)
-            phase = float(np.angle(lam))
-        max_error = max(max_error, float(np.linalg.norm(out - lam * expected)))
+    cols = evolve_columns(c, {target_qubit: KET_0})
+    dim = cols.shape[-1]
+    zero, one = (project(cols, {target_qubit: k}).reshape(dim, dim) for k in _BITS)
+    lam = one[0, 0] / abs(one[0, 0]) if abs(one[0, 0]) > 1e-12 else 1.0
+    miss = np.stack([zero, one - lam * np.eye(dim)])  # (target bit, bystanders, input)
+    max_error = float(np.linalg.norm(miss, axis=(0, 1)).max())
     return PrepCheck(
         passes=max_error <= tol,
         max_error=max_error,
         gate_set_ok=not check_membership(c, HCCZ),
-        phase=phase,
+        phase=float(np.angle(lam)),
     )
 
 
@@ -207,14 +186,11 @@ def s_via_prep(prep: Circuit, target_qubit: int) -> Gadget:
         h(cat),
         ccz(target_qubit, data, cat),
     )
-    induced = _S.copy()
-    for _ in extras:
-        induced = np.kron(induced, np.eye(2, dtype=complex))
     return Gadget(
         circuit=Circuit(n, gates),
         catalyst_qubit=cat,
         data_qubits=(data, *extras),
-        claimed_induced=induced,
+        claimed_induced=np.kron(_S, np.eye(1 << len(extras))),
         claimed_phase=check.phase,
         aux=(AuxWire(target_qubit, 0, 1),),
     )

@@ -56,11 +56,6 @@ class Gate(Enum):
     def takes_angle(self) -> bool:
         return self in (Gate.RX, Gate.RY, Gate.RZ, Gate.CRY)
 
-    @property
-    def symmetric(self) -> bool:
-        # Operand order is cosmetic for these; stored as written.
-        return self in (Gate.CZ, Gate.CCZ)
-
 
 @dataclass(frozen=True)
 class GateKind:
@@ -144,15 +139,6 @@ rx = _rot(Gate.RX)
 ry = _rot(Gate.RY)
 rz = _rot(Gate.RZ)
 cry = _rot(Gate.CRY)
-
-
-def semantically_equal(a: GateApp, b: GateApp) -> bool:
-    """Structural equality, except symmetric gates compare operands set-wise."""
-    if a.kind != b.kind:
-        return False
-    if a.kind.gate.symmetric:
-        return set(a.qubits) == set(b.qubits)
-    return a.qubits == b.qubits
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,15 @@ no entry). The ancilla's X prep is emitted just before the first expansion
 that names ``a``, and counts as an emitted gate, so {H, CCZ} takes CS but not
 S or CZ.
 
-Verification is one dense pass over the data columns. ``sim.evolve_columns``
-runs the lowered circuit on all 2^k basis inputs of its k data wires at once,
-with the catalyst fed |+i> and the ancilla |0>; it allocates 2^(n+k)
-amplitudes for n lowered wires, not the 2^(2n) of a full unitary, and is
-capped at ``sim.MAX_DENSE_QUBITS`` = 12 lowered wires. From its output
-``induce`` reads the induced block (<+i| on the catalyst, <1| on the ancilla),
-the catalyst deficit and the leakage out of that block. ``check_lemmas``
-checks every table entry the same way, with the catalyst |+i> -> |+i> and
-the ancilla |1> -> |1>, by entrywise equality with the gate's matrix.
+Verification is one ``sim.induce`` pass over the data columns: the lowered
+circuit runs on all 2^k basis inputs of its k data wires at once, with the
+catalyst fed |+i> and the ancilla |0>; it allocates 2^(n+k) amplitudes for n
+lowered wires, not the 2^(2n) of a full unitary, and is capped at
+``sim.MAX_DENSE_QUBITS`` = 12 lowered wires. ``induce`` reads from it the
+induced block (<+i| on the catalyst, <1| on the ancilla), the catalyst
+deficit and the leakage out of that block. ``check_lemmas`` checks every
+table entry the same way, with the catalyst |+i> -> |+i> and the ancilla
+|1> -> |1>, by entrywise equality with the gate's matrix.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ from .ir import (
     gate_counts,
     x,
 )
+from . import sim
 from .sim import (
     KET_0,
     KET_1,
     KET_PLUS_I,
     circuit_unitary,
-    evolve_columns,
     gate_matrix,
     phase_aligned_distance,
 )
@@ -119,16 +119,8 @@ def _rule_error(gate: Gate, angle: float | None) -> float:
         ),
     )
     fixed = {q: KET_PLUS_I if w == C else KET_1 for w, q in added.items()}
-    cols = evolve_columns(circuit, fixed)
-    induced = _project(cols, fixed).reshape(cols.shape[-1], -1)
+    induced = sim.induce(circuit, fixed, fixed).block
     return float(np.abs(induced - gate_matrix(GateKind(gate, angle))).max())
-
-
-def _project(cols: np.ndarray, outs: dict[int, np.ndarray]) -> np.ndarray:
-    """Contract <outs[w]| into wire w's axis of an ``evolve_columns`` tensor."""
-    for w in sorted(outs, reverse=True):
-        cols = np.tensordot(outs[w].conj(), cols, axes=([0], [w]))
-    return cols
 
 
 def check_lemmas() -> float:
@@ -311,52 +303,23 @@ def count_report(lowered: LoweredCircuit) -> CountReport:
     )
 
 
-@dataclass(frozen=True)
-class Induced:
-    """What a lowering does to its data wires, read from one column pass.
-
-    ``block`` is <+i|_cat <1|_anc U |+i>_cat |0>_anc on the data wires. Over
-    the data basis inputs, ``catalyst_deficit`` is the worst shortfall of
-    ||<+i|_cat U input|| from 1 (0.0 without a catalyst), and ``leakage``
-    the worst shortfall of the block column's norm from 1.
-    """
-
-    block: np.ndarray
-    catalyst_deficit: float
-    leakage: float
-
-
-def _shortfall(cols: np.ndarray) -> float:
-    """Max over columns (the last axis) of 1 - the column's norm."""
-    norms = np.linalg.norm(cols.reshape(-1, cols.shape[-1]), axis=0)
-    return float(np.max(1.0 - norms))
-
-
-def induce(lowered: LoweredCircuit) -> Induced:
-    """Run the lowered circuit once over its data columns (see ``Induced``).
+def induce(lowered: LoweredCircuit) -> sim.Induced:
+    """``sim.induce`` of the lowered circuit over its data wires: catalyst
+    |+i> -> <+i|, ancilla |0> -> <1| (its X prep is in the circuit).
 
     Raises ValueError, before allocating, past ``sim.MAX_DENSE_QUBITS``
     lowered wires.
     """
     cat = lowered.catalyst_qubit
-    ins: dict[int, np.ndarray] = {}
-    outs: dict[int, np.ndarray] = {}
-    if cat is not None:
-        ins[cat] = outs[cat] = KET_PLUS_I
+    ins = {} if cat is None else {cat: KET_PLUS_I}
+    outs = dict(ins)
     for anc, _state in lowered.ancilla_qubits:
         ins[anc], outs[anc] = KET_0, KET_1
-    cols = evolve_columns(lowered.circuit, ins)
-    block = _project(cols, outs).reshape(cols.shape[-1], -1)
-    deficit = 0.0 if cat is None else _shortfall(_project(cols, {cat: KET_PLUS_I}))
-    return Induced(block=block, catalyst_deficit=deficit, leakage=_shortfall(block))
+    return sim.induce(lowered.circuit, ins, outs, cat)
 
 
 def induced_block(lowered: LoweredCircuit) -> np.ndarray:
-    """Operator the lowered circuit applies to its data wires.
-
-    The catalyst is sandwiched between |+i> in and out, the ancilla between
-    |0> in and |1> out (its X prep is part of the lowered circuit).
-    """
+    """Operator the lowered circuit applies to its data wires (``induce``)."""
     return induce(lowered).block
 
 

@@ -31,6 +31,10 @@ target wire, batch included) is short, a one-qubit gate is one gemm against
 kron(m, I_right) instead. Which path a gate takes depends only on the array's
 shape. ``_apply_tensor`` is the plain tensordot contraction, kept as the
 reference the kernel is tested against.
+
+``induce`` reads the operator induced on the free wires off one column pass
+(``project`` fixes the output kets); ``catalytic_report`` factors such
+columns across a catalyst wire, for gadgets and ``extract_catalytic`` alike.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ from .ir import Circuit, Gate, GateApp, GateKind
 
 MAX_DENSE_QUBITS = 12
 MAX_STATE_QUBITS = 24
+
+# Single-qubit kets by wire.
+Kets = dict[int, np.ndarray]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -213,7 +220,7 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def evolve_columns(c: Circuit, fixed: dict[int, np.ndarray]) -> np.ndarray:
+def evolve_columns(c: Circuit, fixed: Kets) -> np.ndarray:
     """``c`` applied to every basis input of its free wires at once.
 
     Wire w in ``fixed`` is fed the single-qubit ket ``fixed[w]``; the other
@@ -244,6 +251,54 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (execution order, qubit 0 = MSB)."""
     dim = 1 << c.num_qubits
     return evolve_columns(c, {}).reshape(dim, dim)
+
+
+def project(cols: np.ndarray, outs: Kets) -> np.ndarray:
+    """Contract <outs[w]| into wire w's axis of an ``evolve_columns`` tensor."""
+    for w in sorted(outs, reverse=True):
+        cols = np.tensordot(outs[w].conj(), cols, axes=([0], [w]))
+    return cols
+
+
+@dataclass(frozen=True)
+class Induced:
+    """What a circuit does to its free wires, read from one column pass.
+
+    ``block`` is <outs| U |ins> on the free wires. Over their basis inputs,
+    ``catalyst_deficit`` is the worst shortfall of ||<cat| U input|| from 1
+    (0.0 without a catalyst), and ``leakage`` the worst shortfall of the
+    block column's norm from 1.
+    """
+
+    block: np.ndarray
+    catalyst_deficit: float
+    leakage: float
+
+
+def _shortfall(cols: np.ndarray) -> float:
+    """Max over columns (the last axis) of 1 - the column's norm."""
+    norms = np.linalg.norm(cols.reshape(-1, cols.shape[-1]), axis=0)
+    return float(np.max(1.0 - norms))
+
+
+def _read(cols: np.ndarray, outs: Kets, catalyst: int | None) -> Induced:
+    block = project(cols, outs).reshape(-1, cols.shape[-1])
+    deficit = 0.0
+    if catalyst is not None:
+        deficit = _shortfall(project(cols, {catalyst: outs[catalyst]}))
+    return Induced(block=block, catalyst_deficit=deficit, leakage=_shortfall(block))
+
+
+def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> Induced:
+    """The operator ``c`` induces on the wires that ``ins`` and ``outs`` leave
+    free, from one ``evolve_columns`` pass (see ``Induced``).
+
+    ``outs`` must fix the wires ``ins`` does; ``catalyst``, if given, is one
+    of them. Raises ValueError, before allocating, past ``MAX_DENSE_QUBITS``.
+    """
+    if set(ins) != set(outs):
+        raise ValueError("ins and outs must fix the same wires")
+    return _read(evolve_columns(c, ins), outs, catalyst)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -304,17 +359,13 @@ def product_state(tokens: list[str]) -> np.ndarray:
     return psi
 
 
-def project_wires(
-    op: np.ndarray,
-    num_qubits: int,
-    ins: dict[int, np.ndarray],
-    outs: dict[int, np.ndarray],
-) -> np.ndarray:
+def project_wires(op: np.ndarray, num_qubits: int, ins: Kets, outs: Kets) -> np.ndarray:
     """Sandwich ``op`` between fixed states on selected wires.
 
     Returns (tensor of <out_w| for w in outs) op (tensor of |in_w> for ins),
     an operator on the remaining wires in ascending index order. ``ins`` and
-    ``outs`` must fix the same wires.
+    ``outs`` must fix the same wires. Built from a full dense operator, it is
+    the reference the column readout ``induce`` is tested against.
     """
     if set(ins) != set(outs):
         raise ValueError("ins and outs must fix the same wires")
@@ -331,12 +382,36 @@ def project_wires(
 
 @dataclass(frozen=True)
 class CatalyticReport:
-    """Result of factoring a unitary across one designated catalyst wire."""
+    """Result of factoring a circuit's output across one designated catalyst wire."""
 
     is_catalytic: bool
     induced: np.ndarray | None
     residual_norm: float
     catalyst_overlap_deficit: float
+
+
+def catalytic_report(
+    cols: np.ndarray, catalyst: int, outs: Kets, tol: float = 1e-12
+) -> CatalyticReport:
+    """Factor ``evolve_columns`` output, catalyst fed cat = ``outs[catalyst]``.
+
+    Catalytic iff ||<cat_perp| cols||_F <= tol and V = <cat| cols has columns
+    orthonormal within tol; the induced operator (the block of ``outs``) and
+    the deficit are read as ``induce`` reads them.
+    """
+    cat = outs[catalyst]
+    cat_perp = np.array([-np.conj(cat[1]), np.conj(cat[0])], dtype=complex)
+    got = _read(cols, outs, catalyst)
+    kept = project(cols, {catalyst: cat}).reshape(-1, cols.shape[-1])
+    residual = float(np.linalg.norm(project(cols, {catalyst: cat_perp})))
+    unitarity = float(np.linalg.norm(kept.conj().T @ kept - np.eye(kept.shape[1])))
+    ok = residual <= tol and unitarity <= tol
+    return CatalyticReport(
+        is_catalytic=ok,
+        induced=got.block if ok else None,
+        residual_norm=residual,
+        catalyst_overlap_deficit=got.catalyst_deficit,
+    )
 
 
 def extract_catalytic(
@@ -347,9 +422,9 @@ def extract_catalytic(
 ) -> CatalyticReport:
     """Test whether ``u`` acts as (catalyst kept intact) x (unitary on the rest).
 
-    The candidate induced operator is V = <cat| u |cat>, the leakage block is
-    R = <cat_perp| u |cat>. The factorization holds iff ||R||_F <= tol and
-    ||V^dag V - I||_F <= tol; then u (|cat> tensor |psi>) = |cat> tensor V|psi>.
+    The catalyst ket goes into ``u``'s input axis, which leaves the columns
+    ``evolve_columns`` would give for it; ``catalytic_report`` reads them.
+    When it holds, u (|cat> tensor |psi>) = |cat> tensor induced |psi>.
     """
     n = _num_qubits_of(u.shape[0])
     if n < 2:
@@ -359,20 +434,8 @@ def extract_catalytic(
     cat = np.asarray(catalyst_state, dtype=complex)
     if cat.shape != (2,) or abs(np.linalg.norm(cat) - 1.0) > 1e-12:
         raise ValueError("catalyst state must be a normalized single-qubit vector")
-    cat_perp = np.array([-np.conj(cat[1]), np.conj(cat[0])], dtype=complex)
-
-    v = project_wires(u, n, {catalyst_qubit: cat}, {catalyst_qubit: cat})
-    r = project_wires(u, n, {catalyst_qubit: cat}, {catalyst_qubit: cat_perp})
-    residual = float(np.linalg.norm(r))
-    dim = v.shape[0]
-    gram = v.conj().T @ v
-    unitarity = float(np.linalg.norm(gram - np.eye(dim)))
-    ok = residual <= tol and unitarity <= tol
-    # <cat (x) V psi | u | cat (x) psi> = (V^dag V)[psi, psi] for basis psi.
-    deficit = float(np.max(1.0 - np.abs(np.diag(gram))))
-    return CatalyticReport(
-        is_catalytic=ok,
-        induced=v if ok else None,
-        residual_norm=residual,
-        catalyst_overlap_deficit=deficit,
+    t = np.asarray(u, dtype=complex).reshape((2,) * (2 * n))
+    cols = np.tensordot(t, cat, axes=([n + catalyst_qubit], [0]))
+    return catalytic_report(
+        cols.reshape((2,) * n + (-1,)), catalyst_qubit, {catalyst_qubit: cat}, tol
     )

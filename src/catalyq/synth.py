@@ -36,6 +36,8 @@ class SynthesisError(ValueError):
 
 
 _FAMILY_EPS = 1e-13
+# Largest distance, catalyst deficit and leakage a synthesized circuit may show.
+VERIFY_TOL = 1e-8
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -207,26 +209,32 @@ class SynthesisResult:
     target_dim: int
     distance: float
     catalyst_deficit: float
+    leakage: float
 
 
 def synthesize(u: np.ndarray) -> SynthesisResult:
     """Compile a unitary onto {H, X, Z, RY, CCZ} with catalyst and ancilla.
 
     Verified densely: the lowered circuit's induced data-register operator
-    must sit within phase-aligned distance 1e-8 of ``u`` or this raises.
+    must sit within phase-aligned distance ``VERIFY_TOL`` of ``u``, and its
+    catalyst deficit and leakage within ``VERIFY_TOL`` too, or this raises.
     """
     u = _check_unitary(u)
     source = decompose_su2m(u)
     lowered = lower(source, REAL_O2_CCZ)
     got = induce(lowered)
     distance = phase_aligned_distance(got.block, u)
-    if distance > 1e-8:
-        raise SynthesisError(f"synthesis verification failed (distance {distance:.3e})")
+    if max(distance, got.catalyst_deficit, got.leakage) > VERIFY_TOL:
+        raise SynthesisError(
+            f"synthesis verification failed (distance {distance:.3e}, catalyst "
+            f"deficit {got.catalyst_deficit:.3e}, leakage {got.leakage:.3e})"
+        )
     return SynthesisResult(
         lowered=lowered,
         target_dim=u.shape[0],
         distance=distance,
         catalyst_deficit=got.catalyst_deficit,
+        leakage=got.leakage,
     )
 
 

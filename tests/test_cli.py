@@ -193,6 +193,7 @@ def test_synthesize_seeded(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert payload["metrics"]["distance"] <= 1e-8
+    assert 0.0 <= payload["metrics"]["leakage"] <= 1e-8
     assert payload["metrics"]["total_qubits"] == 4.0
 
 
@@ -257,6 +258,15 @@ def test_check_prep_empty_circuit_fails(tmp_path, capsys):
     code, payload, _ = run_json(["check-prep", str(src), "--target-qubit", "0"], capsys)
     assert code == 1
     assert payload["metrics"]["passes"] == 0.0
+
+
+def test_check_prep_too_wide_fails_before_allocating(tmp_path, capsys, refuse_big_arrays):
+    src = tmp_path / "wide.txt"
+    src.write_text("qubits 13\nX 0\n")
+    code, payload, _ = run_json(["check-prep", str(src), "--target-qubit", "0"], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert "capped at 12 qubits, got 13" in payload["error"]
 
 
 def test_check_prep_bad_target_qubit(tmp_path, capsys):

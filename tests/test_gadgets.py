@@ -1,11 +1,16 @@
 """Catalytic gadgets: claimed operators, catalyst restoration, prep checks."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyq.gadgets import (
+    AuxWire,
+    Gadget,
     catalyst_flip_check,
     cs_gadget,
     induced_on_data,
@@ -14,16 +19,21 @@ from catalyq.gadgets import (
     s_via_prep,
     verify_one_prep,
 )
-from catalyq.ir import Circuit, Gate, GateKind, ccz, circuit_of, gate_counts, h, x
+from catalyq.ir import Circuit, Gate, GateApp, GateKind, ccz, circuit_of, gate_counts, h, x
 from catalyq.sim import (
+    KET_MINUS_I,
     KET_PLUS_I,
+    MAX_DENSE_QUBITS,
+    basis_state,
     circuit_unitary,
     extract_catalytic,
     gate_matrix,
     phase_aligned_distance,
     product_state,
+    project_wires,
     run,
 )
+from conftest import random_circuit
 
 S_MAT = np.diag([1.0, 1j])
 THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)]
@@ -172,7 +182,129 @@ def test_catalyst_restored_across_gadgets():
         assert rep.catalyst_overlap_deficit <= 1e-12
 
 
+# --- the column pass against the full dense unitary ---
+
+@st.composite
+def gadget_cases(draw):
+    """A random 2-4-wire circuit as a gadget: catalyst on any wire, 0-1 aux."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = random_circuit(rng, n, draw(st.integers(0, 6)))
+    cat = draw(st.integers(0, n - 1))
+    rest = [q for q in range(n) if q != cat]
+    aux = ()
+    if n > 2 and draw(st.booleans()):
+        aux = (AuxWire(draw(st.sampled_from(rest)), draw(st.integers(0, 1)),
+                       draw(st.integers(0, 1))),)
+    data = tuple(q for q in rest if q not in {a.qubit for a in aux})
+    return Gadget(c, cat, data, np.eye(1 << len(data)), 0.0, aux)
+
+
+def full_unitary_report(g, tol=1e-12):
+    """(block, is_catalytic, residual_norm, deficit) read off the full dense
+    unitary: the catalyst sandwiched by project_wires, then the columns where
+    each aux wire holds its in-bit and, for the block, the rows where it holds
+    its out-bit."""
+    n = g.circuit.num_qubits
+    u = circuit_unitary(g.circuit)
+    cat = {g.catalyst_qubit: KET_PLUS_I}
+    v = project_wires(u, n, cat, cat)
+    r = project_wires(u, n, cat, {g.catalyst_qubit: KET_MINUS_I})
+    rest = [q for q in range(n) if q != g.catalyst_qubit]
+
+    def holding(which):
+        return [i for i in range(1 << (n - 1))
+                if all((i >> (n - 2 - rest.index(a.qubit))) & 1 == getattr(a, which)
+                       for a in g.aux)]
+
+    cols, rows = holding("in_bit"), holding("out_bit")
+    v, r = v[:, cols], r[:, cols]
+    residual = float(np.linalg.norm(r))
+    ok = residual <= tol and np.linalg.norm(v.conj().T @ v - np.eye(len(cols))) <= tol
+    block = v[rows] if ok else np.zeros((0, 0))
+    deficit = float(np.max(1.0 - np.linalg.norm(v, axis=0)))
+    return block, ok, residual, deficit
+
+
+@settings(max_examples=150, deadline=None)
+@given(gadget_cases())
+def test_induced_on_data_matches_full_unitary(g):
+    block, rep = induced_on_data(g)
+    want_block, want_ok, want_residual, want_deficit = full_unitary_report(g)
+    assert rep.is_catalytic == want_ok
+    assert block.shape == want_block.shape
+    assert np.abs(block - want_block).max(initial=0.0) <= 1e-12
+    assert abs(rep.residual_norm - want_residual) <= 1e-12
+    assert abs(rep.catalyst_overlap_deficit - want_deficit) <= 1e-12
+    if not g.aux:
+        old = extract_catalytic(circuit_unitary(g.circuit), g.catalyst_qubit, KET_PLUS_I)
+        assert old.is_catalytic == rep.is_catalytic
+        assert abs(old.residual_norm - rep.residual_norm) <= 1e-12
+        if old.is_catalytic:
+            assert np.abs(old.induced - block).max() <= 1e-12
+
+
 # --- one-prep verification ---
+
+def loop_prep_check(c, target_qubit, tol=1e-10):
+    """(passes, max_error, phase) from one ``run`` per bystander basis state."""
+    n = c.num_qubits
+    shift = n - 1 - target_qubit
+    rest = [q for q in range(n) if q != target_qubit]
+    phase = 0.0
+    lam = 1.0 + 0.0j
+    max_error = 0.0
+    for k in range(1 << (n - 1)):
+        # Scatter the bystander bits around the target wire.
+        idx_in = 0
+        for j, q in enumerate(rest):
+            bit = (k >> (n - 2 - j)) & 1
+            idx_in |= bit << (n - 1 - q)
+        out = run(c, basis_state(n, idx_in))
+        expected = basis_state(n, idx_in | (1 << shift))
+        if k == 0:
+            overlap = complex(np.vdot(expected, out))
+            if abs(overlap) > 1e-12:
+                lam = overlap / abs(overlap)
+            phase = float(np.angle(lam))
+        max_error = max(max_error, float(np.linalg.norm(out - lam * expected)))
+    return max_error <= tol, max_error, phase
+
+
+_INVOLUTIONS = [Gate.H, Gate.X, Gate.Z, Gate.CZ, Gate.CCZ]
+
+
+@st.composite
+def prep_cases(draw):
+    """A random circuit, or a passing prep: X on the target, a self-inverse
+    pad and its mirror, then phase gates on the target alone."""
+    n = draw(st.integers(1, 4))
+    target = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_circuit(rng, n, draw(st.integers(0, 6))), target
+    pad = random_circuit(rng, n, draw(st.integers(0, 3)), _INVOLUTIONS).gates
+    phases = draw(st.lists(st.sampled_from([Gate.Z, Gate.S, Gate.SDG]), max_size=3))
+    tail = tuple(GateApp(GateKind(g), (target,)) for g in phases)
+    return Circuit(n, (x(target),) + pad + pad[::-1] + tail), target
+
+
+@settings(max_examples=150, deadline=None)
+@given(prep_cases())
+def test_verify_prep_matches_per_state_runs(case):
+    c, target = case
+    check = verify_one_prep(c, target)
+    passes, max_error, phase = loop_prep_check(c, target)
+    assert check.passes == passes
+    assert abs(check.max_error - max_error) <= 1e-12
+    assert abs(cmath.exp(1j * check.phase) - cmath.exp(1j * phase)) <= 1e-12
+
+
+def test_verify_prep_width_cap_is_checked_before_allocating(refuse_big_arrays):
+    with pytest.raises(ValueError, match="capped"):
+        verify_one_prep(circuit_of(MAX_DENSE_QUBITS + 1, x(0)), 0)
+
+
 
 def test_verify_prep_x_shortcut():
     check = verify_one_prep(circuit_of(3, x(0)), 0)

@@ -20,7 +20,6 @@ from catalyq.ir import (
     ccz,
     check_membership,
     circuit_of,
-    cry,
     cs,
     cz,
     gate_counts,
@@ -29,7 +28,6 @@ from catalyq.ir import (
     ry,
     s,
     serialize_circuit,
-    x,
 )
 from conftest import random_circuit
 
@@ -176,16 +174,6 @@ def test_profiles_registry():
         Gate.RY,
         Gate.CCZ,
     )
-
-
-def test_symmetric_gates_compare_setwise():
-    from catalyq.ir import semantically_equal
-
-    assert semantically_equal(cz(0, 1), cz(1, 0))
-    assert semantically_equal(ccz(0, 1, 2), ccz(2, 0, 1))
-    assert not semantically_equal(cs(0, 1), cs(1, 0))  # control-first matters
-    assert not semantically_equal(cry(0.4, 0, 1), cry(0.4, 1, 0))
-    assert not semantically_equal(h(0), x(0))
 
 
 def test_angle_formatting_round_trips_doubles():

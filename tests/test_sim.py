@@ -511,6 +511,15 @@ def test_extract_soundness_on_basis_inputs():
         assert np.linalg.norm(lhs - rhs) <= 10 * tol
 
 
+def test_extract_needs_the_induced_operator_unitary():
+    # The catalyst is kept (no residual) but the data block shrinks a column.
+    rep = extract_catalytic(np.kron(np.eye(2), np.diag([1.0, 0.5])), 0, KET_PLUS_I)
+    assert rep.residual_norm <= 1e-15
+    assert not rep.is_catalytic
+    assert rep.induced is None
+    assert rep.catalyst_overlap_deficit == pytest.approx(0.5)
+
+
 def test_extract_catalyst_on_middle_wire():
     # Catalyst need not be wire 0: S gadget with data on 0, catalyst on 1.
     u = circuit_unitary(parse_circuit("qubits 2\nH 1\nCZ 0 1\nH 1\nCZ 0 1"))

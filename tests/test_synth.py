@@ -7,7 +7,10 @@ import pytest
 
 from catalyq.ir import REAL_O2_CCZ, Gate, GateKind, check_membership, gate_counts
 from catalyq.sim import circuit_unitary, gate_matrix, phase_aligned_distance
+from catalyq import synth
+from catalyq.sim import Induced
 from catalyq.synth import (
+    VERIFY_TOL,
     SynthesisError,
     decompose_su2m,
     euler_xyx,
@@ -164,6 +167,21 @@ def test_synthesize_seeded_su4():
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(SynthesisError, match="not unitary"):
         synthesize(np.ones((2, 2)))
+
+
+def test_synthesize_reports_its_leakage():
+    res = synthesize(haar_su(8, 3))
+    assert 0.0 <= max(res.leakage, res.catalyst_deficit) <= VERIFY_TOL
+
+
+@pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
+def test_synthesize_checks_every_residual(monkeypatch, field):
+    # The block is exactly the target, so only the other residual can fail it.
+    target = np.diag([1.0, 1j])
+    residuals = {"catalyst_deficit": 0.0, "leakage": 0.0, field: 1e-6}
+    monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=target, **residuals))
+    with pytest.raises(SynthesisError, match="verification failed"):
+        synthesize(target)
 
 
 # --- haar sampling and the matrix file format ---
