@@ -27,7 +27,7 @@ from .ir import (
     parse_circuit,
     serialize_circuit,
 )
-from .lowering import LoweringError, count_report, lower, verify_lowering
+from .lowering import VERIFY_METHOD, LoweringError, count_report, lower, verify_lowering
 from .sim import product_state, run
 from .synth import VERIFY_TOL, SynthesisError, haar_su, parse_matrix, synthesize
 
@@ -129,6 +129,8 @@ def cmd_lower(args: argparse.Namespace) -> RunReport:
         metrics["catalyst_deficit"] = check.catalyst_deficit
         metrics["leakage"] = check.leakage
         metrics["verify_skipped"] = 0.0
+    # No stage timings: this output stays identical, byte for byte, across runs.
+    method = None if metrics["verify_skipped"] else VERIFY_METHOD
     artifacts = []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -139,7 +141,7 @@ def cmd_lower(args: argparse.Namespace) -> RunReport:
         ok=ok,
         metrics=metrics,
         artifacts=artifacts,
-        extra={"report": json.loads(report.to_json())},
+        extra={"report": json.loads(report.to_json()), "method": method},
     )
     if not args.json:
         print(report.to_json())
@@ -169,7 +171,7 @@ def cmd_synthesize(args: argparse.Namespace) -> RunReport:
             "leakage": result.leakage,
             "total_qubits": float(result.lowered.circuit.num_qubits),
         },
-        extra={"circuit": circuit_text},
+        extra={"circuit": circuit_text, "timings": result.timings, "method": result.method},
     )
     if not args.json:
         print(circuit_text)

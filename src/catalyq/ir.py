@@ -1,7 +1,9 @@
 """Circuit intermediate representation and its text format.
 
 A circuit is an ordered list of gate applications over ``num_qubits`` wires.
-List order is execution order: ``gates[0]`` acts first.
+List order is execution order: ``gates[0]`` acts first. Gate applications
+are immutable, so a circuit may hold the same ``GateApp`` object at several
+positions; ``parse_circuit`` and ``lower`` share one object per distinct gate.
 
 Text format (one gate per line, ``#`` starts a comment, blank lines ignored)::
 
@@ -20,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable
 
 
@@ -28,7 +31,8 @@ class CircuitError(ValueError):
 
 
 class Gate(Enum):
-    """Gate vocabulary tags, in canonical declaration order."""
+    """Gate vocabulary tags, in canonical declaration order; each member
+    stores its operand count ``arity`` and whether it ``takes_angle``."""
 
     H = "H"
     X = "X"
@@ -36,25 +40,20 @@ class Gate(Enum):
     Z = "Z"
     S = "S"
     SDG = "SDG"
-    RX = "RX"
-    RY = "RY"
-    RZ = "RZ"
-    CZ = "CZ"
-    CS = "CS"
-    CRY = "CRY"
-    CCZ = "CCZ"
+    RX = "RX", 1, True
+    RY = "RY", 1, True
+    RZ = "RZ", 1, True
+    CZ = "CZ", 2
+    CS = "CS", 2
+    CRY = "CRY", 2, True
+    CCZ = "CCZ", 3
 
-    @property
-    def arity(self) -> int:
-        if self in (Gate.CZ, Gate.CS, Gate.CRY):
-            return 2
-        if self is Gate.CCZ:
-            return 3
-        return 1
-
-    @property
-    def takes_angle(self) -> bool:
-        return self in (Gate.RX, Gate.RY, Gate.RZ, Gate.CRY)
+    def __new__(cls, value: str, arity: int = 1, takes_angle: bool = False) -> Gate:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.arity = arity
+        member.takes_angle = takes_angle
+        return member
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,8 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise CircuitError("num_qubits must be positive")
+        if max(map(max, map(attrgetter("qubits"), self.gates)), default=0) < self.num_qubits:
+            return
         for i, g in enumerate(self.gates):
             if max(g.qubits) >= self.num_qubits:
                 raise CircuitError(
@@ -174,10 +175,11 @@ class Violation:
 
 def check_membership(c: Circuit, profile: GateSetProfile) -> list[Violation]:
     """Return all gates of ``c`` not admitted by ``profile`` (empty = member)."""
+    barred = tuple(g for g in Gate if not profile.admits(g))
     return [
         Violation(i, g.kind.gate)
         for i, g in enumerate(c.gates)
-        if not profile.admits(g.kind.gate)
+        if g.kind.gate in barred
     ]
 
 
@@ -206,9 +208,15 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the text format described in the module docstring."""
     header: int | None = None
     apps: list[GateApp] = []
+    # Identical angle-free gate lines share one immutable GateApp; angled
+    # lines seldom repeat, so they are not kept.
+    seen: dict[str, GateApp] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line in seen:
+            apps.append(seen[line])
             continue
         tokens = line.split()
         if header is None:
@@ -242,9 +250,12 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError:
                 raise CircuitError(f"line {line_no}: bad operand {tok!r}") from None
         try:
-            apps.append(GateApp(GateKind(gate, angle), tuple(operands)))
+            app = GateApp(GateKind(gate, angle), tuple(operands))
         except CircuitError as exc:
             raise CircuitError(f"line {line_no}: {exc}") from None
+        apps.append(app)
+        if angle is None:
+            seen[line] = app
     if header is None:
         raise CircuitError("missing 'qubits <n>' header")
     try:
@@ -260,11 +271,16 @@ def _format_angle(angle: float) -> str:
 def serialize_circuit(c: Circuit) -> str:
     """Canonical text: uppercase names, 17-significant-digit angles."""
     lines = [f"qubits {c.num_qubits}"]
+    # A GateApp object that recurs is formatted once, keyed by identity.
+    done: dict[int, str] = {}
     for app in c.gates:
-        name = app.kind.gate.value
-        if app.kind.angle is not None:
-            name = f"{name}({_format_angle(app.kind.angle)})"
-        lines.append(" ".join([name, *map(str, app.qubits)]))
+        line = done.get(id(app))
+        if line is None:
+            name = app.kind.gate.value
+            if app.kind.angle is not None:
+                name = f"{name}({_format_angle(app.kind.angle)})"
+            line = done[id(app)] = " ".join([name, *map(str, app.qubits)])
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -52,7 +52,6 @@ from .ir import (
     GateKind,
     GateSetProfile,
     check_membership,
-    gate_counts,
     x,
 )
 from . import sim
@@ -182,6 +181,7 @@ class _Plan:
     gates: tuple[tuple[Gate, GateKind | None, tuple[int, ...]], ...]
     prep_at: int | None
     fired: Counter
+    angled: tuple[int, ...]  # indices into ``gates`` of the angled tags
 
 
 def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
@@ -190,35 +190,36 @@ def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
     # The X prep is an emitted gate too, so it must be admitted.
     if flat is None or not all(target.admits(g) for g, _ in flat):
         return None
+    gates = tuple(
+        (g, None if g.takes_angle else GateKind(g), ws) for g, ws in flat if (g, ws) != _PREP
+    )
     return _Plan(
-        gates=tuple(
-            (g, None if g.takes_angle else GateKind(g), ws)
-            for g, ws in flat
-            if (g, ws) != _PREP
-        ),
+        gates=gates,
         prep_at=flat.index(_PREP) if _PREP in flat else None,
         fired=fired,
+        angled=tuple(j for j, (g, _, _) in enumerate(gates) if g.takes_angle),
     )
 
 
 def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
-    """Rewrite ``c`` into ``target``; raises LoweringError if any gate can't go."""
-    plans: dict[Gate, _Plan] = {}
-    for i, app in enumerate(c.gates):
-        gate = app.kind.gate
-        if gate not in plans:
-            plan = _plan(gate, target)
-            if plan is None:
-                raise LoweringError(
-                    f"gate {i} ({gate.value}) is not lowerable to {target.name}"
-                )
-            plans[gate] = plan
+    """Rewrite ``c`` into ``target``; raises LoweringError if any gate can't go.
+
+    Each angle-free emitted gate is built once per (source tag, operands) and
+    shared by every source gate that repeats it; angled ones are built fresh.
+    """
+    kinds = Counter(app.kind.gate for app in c.gates)
+    plans = {gate: _plan(gate, target) for gate in kinds}
+    for gate, plan in plans.items():
+        if plan is None:
+            i = next(i for i, app in enumerate(c.gates) if app.kind.gate is gate)
+            raise LoweringError(f"gate {i} ({gate.value}) is not lowerable to {target.name}")
     need_cat = any(C in ws for p in plans.values() for _, _, ws in p.gates)
     need_anc = any(p.prep_at is not None for p in plans.values())
     cat = c.num_qubits if need_cat else None
     anc = c.num_qubits + need_cat if need_anc else None
 
     gates: list[GateApp] = []
+    built: dict[tuple[Gate, tuple[int, ...]], list[GateApp | None]] = {}
     prepped = False
     for app in c.gates:
         plan = plans[app.kind.gate]
@@ -226,28 +227,39 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
             gates.append(app)
             continue
         frame = (*app.qubits, cat, anc)
-        new = [
-            GateApp(kind or GateKind(g, app.kind.angle), tuple(frame[w] for w in ws))
-            for g, kind, ws in plan.gates
-        ]
+        key = (app.kind.gate, app.qubits)
+        shared = built.get(key)
+        if shared is None:
+            # None holds the place of each angled gate, filled in below.
+            shared = built[key] = [
+                None if kind is None else GateApp(kind, tuple(frame[w] for w in ws))
+                for _, kind, ws in plan.gates
+            ]
+        at = len(gates)
+        gates += shared
+        for j in plan.angled:
+            g, _, ws = plan.gates[j]
+            gates[at + j] = GateApp(GateKind(g, app.kind.angle), tuple(frame[w] for w in ws))
         if plan.prep_at is not None and not prepped:
-            new.insert(plan.prep_at, x(anc))
+            gates.insert(at + plan.prep_at, x(anc))
             prepped = True
-        gates += new
     circuit = Circuit(c.num_qubits + need_cat + need_anc, tuple(gates))
     assert not check_membership(circuit, target)
-
-    kinds = Counter(app.kind.gate for app in c.gates)
 
     def instances(rule: Gate) -> int:
         return sum(k * plans[g].fired[rule] for g, k in kinds.items())
 
+    counts = {g: 0 for g in Gate}
+    counts[Gate.X] += prepped
+    for gate, k in kinds.items():
+        for g, _, _ in plans[gate].gates:
+            counts[g] += k
     return LoweredCircuit(
         circuit=circuit,
         target=target,
         catalyst_qubit=cat,
         ancilla_qubits=((anc, "0"),) if need_anc else (),
-        counts=gate_counts(circuit),
+        counts=counts,
         s_gadget_instances=instances(Gate.S),
         cs_gadget_instances=instances(Gate.CS),
         cz_substitutions=instances(Gate.CZ),
@@ -301,6 +313,10 @@ def count_report(lowered: LoweredCircuit) -> CountReport:
         ccz_per_s=per_s,
         notes=_REPORT_NOTES,
     )
+
+
+# The check ``induce`` makes, as reports name it: a dense pass over all data columns.
+VERIFY_METHOD = "dense_columns"
 
 
 def induce(lowered: LoweredCircuit) -> sim.Induced:

@@ -66,6 +66,8 @@ _FIXED: dict[Gate, np.ndarray] = {
     Gate.CS: np.diag([1, 1, 1, 1j]).astype(complex),
     Gate.CCZ: np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex),
 }
+for _m in _FIXED.values():
+    _m.flags.writeable = False
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -86,8 +88,14 @@ def _rz(theta: float) -> np.ndarray:
 
 def gate_matrix(kind: GateKind) -> np.ndarray:
     """Dense matrix of a gate kind in its own operand-ordered basis."""
+    return np.array(_matrix(kind))
+
+
+def _matrix(kind: GateKind) -> np.ndarray:
+    """``gate_matrix`` without the copy: the kernel reads a fixed gate's one
+    shared, read-only array."""
     if kind.gate in _FIXED:
-        return _FIXED[kind.gate].copy()
+        return _FIXED[kind.gate]
     if kind.gate is Gate.RX:
         return _rx(kind.angle)
     if kind.gate is Gate.RY:
@@ -177,13 +185,13 @@ def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
     """One-qubit gate ``kind`` on axis ``q`` of ``psi``, as in ``_apply``."""
     right = math.prod(psi.shape[q + 1 :])
     if right <= _GEMM_MAX_RIGHT and psi.size >= _GEMM_MIN_SIZE:
-        mat = gate_matrix(kind)
+        mat = _matrix(kind)
         kron = mat.T[:, None, :, None] * np.eye(right)[None, :, None, :]
         rows = psi.reshape(-1, 2 * right) @ kron.reshape(2 * right, 2 * right)
         return rows.reshape(psi.shape)
     if kind.gate is not Gate.X and kind.gate is not Gate.RZ:
         pairs = psi.reshape(-1, 2, right)
-        return np.matmul(gate_matrix(kind), pairs).reshape(psi.shape)
+        return np.matmul(_matrix(kind), pairs).reshape(psi.shape)
     lead = (_ALL,) * q
     zero, one = psi[lead + (_BIT[0],)], psi[lead + (_BIT[1],)]
     if kind.gate is Gate.RZ:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cossin, schur
 
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz, h
-from .lowering import LoweredCircuit, induce, lower
+from .lowering import VERIFY_METHOD, LoweredCircuit, induce, lower
 from .sim import circuit_unitary, gate_matrix, phase_aligned_distance
 
 
@@ -210,6 +211,8 @@ class SynthesisResult:
     distance: float
     catalyst_deficit: float
     leakage: float
+    timings: dict[str, float]  # seconds in each stage: decompose, lower, verify
+    method: str = VERIFY_METHOD
 
 
 def synthesize(u: np.ndarray) -> SynthesisResult:
@@ -220,10 +223,14 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
     catalyst deficit and leakage within ``VERIFY_TOL`` too, or this raises.
     """
     u = _check_unitary(u)
+    t0 = time.perf_counter()
     source = decompose_su2m(u)
+    t1 = time.perf_counter()
     lowered = lower(source, REAL_O2_CCZ)
+    t2 = time.perf_counter()
     got = induce(lowered)
     distance = phase_aligned_distance(got.block, u)
+    t3 = time.perf_counter()
     if max(distance, got.catalyst_deficit, got.leakage) > VERIFY_TOL:
         raise SynthesisError(
             f"synthesis verification failed (distance {distance:.3e}, catalyst "
@@ -235,6 +242,7 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
         distance=distance,
         catalyst_deficit=got.catalyst_deficit,
         leakage=got.leakage,
+        timings={"decompose": t1 - t0, "lower": t2 - t1, "verify": t3 - t2},
     )
 
 

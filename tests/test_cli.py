@@ -138,6 +138,7 @@ def test_lower_verifies_five_data_wires(tmp_path, capsys):
     assert metrics["catalyst_deficit"] <= 1e-12
     assert metrics["leakage"] <= 1e-12
     assert err == ""
+    assert payload["method"] == "dense_columns"
 
 
 def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys, refuse_big_arrays):
@@ -153,6 +154,7 @@ def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys, refuse_big_arrays):
     assert payload["metrics"]["total_qubits"] == 13.0
     assert "distance" not in payload["metrics"]
     assert "not verified" in err
+    assert payload["method"] is None
     assert payload["artifacts"] == [str(out_file)]
     assert parse_circuit(out_file.read_text()).num_qubits == 13
 
@@ -195,6 +197,9 @@ def test_synthesize_seeded(capsys):
     assert payload["metrics"]["distance"] <= 1e-8
     assert 0.0 <= payload["metrics"]["leakage"] <= 1e-8
     assert payload["metrics"]["total_qubits"] == 4.0
+    assert set(payload["timings"]) == {"decompose", "lower", "verify"}
+    assert all(t >= 0.0 for t in payload["timings"].values())
+    assert payload["method"] == "dense_columns"
 
 
 def test_synthesize_text_mode_prints_circuit(capsys):

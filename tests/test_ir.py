@@ -89,6 +89,18 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("qubits 2\nH 0\nCCZ 0 0 1")
 
 
+def test_parse_repeated_lines_and_case_variants():
+    c = parse_circuit("qubits 3\nCZ 0 1\ncz 0 1\nRY(0.5) 2\nCZ 0 1\nRY(0.5) 2\nCZ 0 1  # again")
+    assert c.gates == (cz(0, 1), cz(0, 1), ry(0.5, 2), cz(0, 1), ry(0.5, 2), cz(0, 1))
+    # An identical accepted angle-free line reuses its GateApp.
+    assert c.gates[0] is c.gates[3] is c.gates[5]
+
+
+def test_parse_repeated_bad_line_reports_its_first_line():
+    with pytest.raises(CircuitError, match="^line 3: duplicate"):
+        parse_circuit("qubits 2\nCZ 0 1\nCZ 0 0\nH 1\nCZ 0 0")
+
+
 def test_serialize_canonical_forms():
     assert serialize_circuit(circuit_of(1, h(0))) == "qubits 1\nH 0"
     c = circuit_of(1, ry(math.pi, 0))
@@ -102,6 +114,16 @@ def test_serialize_parse_structural_round_trip():
         c = random_circuit(rng, n, int(rng.integers(0, 25)))
         again = parse_circuit(serialize_circuit(c))
         assert again == c
+
+
+def test_serialize_shared_gate_app_round_trips():
+    app, rot = cz(0, 1), ry(0.1, 2)
+    c = Circuit(3, (app, rot, app, h(2), app, rot, app))
+    text = serialize_circuit(c)
+    rot_line = "RY(0.10000000000000001) 2"
+    assert text == "\n".join(["qubits 3", "CZ 0 1", rot_line, "CZ 0 1", "H 2", "CZ 0 1", rot_line, "CZ 0 1"])
+    assert parse_circuit(text) == c
+    assert serialize_circuit(parse_circuit(text)) == text
 
 
 def test_serialize_is_idempotent_fixed_point():
@@ -134,6 +156,12 @@ def test_circuit_validation():
         Circuit(0)
     with pytest.raises(CircuitError, match="uses qubit 2"):
         Circuit(2, (ccz(0, 1, 2),))
+
+
+def test_circuit_names_the_first_out_of_range_gate():
+    with pytest.raises(CircuitError) as exc:
+        Circuit(2, (h(0), cz(0, 3), ccz(0, 1, 7)))
+    assert str(exc.value) == "gate 1 (CZ) uses qubit 3 but circuit has 2"
 
 
 def test_gate_counts_empty_circuit_is_all_zero():

@@ -265,10 +265,11 @@ def test_accept_reject_every_gate_every_profile(gate, name):
 
 
 @st.composite
-def source_circuits(draw):
-    n = draw(st.integers(1, 3))
+def source_circuits(draw, max_wires=3, max_gates=8):
+    n = draw(st.integers(1, max_wires))
     apps = []
-    for gate in draw(st.lists(st.sampled_from([g for g in Gate if g.arity <= n]), max_size=8)):
+    pool = [g for g in Gate if g.arity <= n]
+    for gate in draw(st.lists(st.sampled_from(pool), max_size=max_gates)):
         qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
         angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if gate.takes_angle else None
         apps.append(GateApp(GateKind(gate, angle), qubits))
@@ -288,6 +289,22 @@ def test_lowering_is_verified_or_names_first_bad_gate(src):
         assert check_membership(low.circuit, profile) == []
         chk = verify_lowering(src, low)
         assert chk.ok, (name, chk.distance, chk.catalyst_deficit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source_circuits(max_wires=4, max_gates=24))
+def test_counts_match_the_emitted_circuit(src):
+    # ``lower`` derives its counts from the rule plans; they must equal a
+    # recount of what it emitted, and the CCZ count must obey the count law.
+    ccz_in = gate_counts(src)[Gate.CCZ]
+    for profile in PROFILES.values():
+        try:
+            low = lower(src, profile)
+        except LoweringError:
+            continue
+        assert low.counts == gate_counts(low.circuit)
+        law = ccz_in + 2 * (low.s_gadget_instances + low.cs_gadget_instances) + low.cz_substitutions
+        assert low.counts[Gate.CCZ] == law
 
 
 # --- lowered output pinned byte for byte ---

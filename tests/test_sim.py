@@ -127,6 +127,14 @@ def test_h_matrix():
     assert np.allclose(gate_matrix(GateKind(Gate.H)), [[SQ2, SQ2], [SQ2, -SQ2]])
 
 
+def test_gate_matrix_returns_a_private_copy():
+    # The kernel shares the fixed matrices; a caller's copy must not alias them.
+    m = gate_matrix(GateKind(Gate.H))
+    m[0, 0] = 5.0
+    assert gate_matrix(GateKind(Gate.H))[0, 0] == SQ2
+    assert np.allclose(run(circuit_of(1, h(0)), np.array([1, 0], dtype=complex)), [SQ2, SQ2])
+
+
 def test_ry_pi_matrix():
     assert np.allclose(gate_matrix(GateKind(Gate.RY, math.pi)), [[0, -1], [1, 0]])
 

@@ -174,6 +174,13 @@ def test_synthesize_reports_its_leakage():
     assert 0.0 <= max(res.leakage, res.catalyst_deficit) <= VERIFY_TOL
 
 
+def test_synthesize_reports_stage_timings_and_method():
+    res = synthesize(haar_su(4, 2))
+    assert set(res.timings) == {"decompose", "lower", "verify"}
+    assert all(t >= 0.0 for t in res.timings.values())
+    assert res.method == "dense_columns"
+
+
 @pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
 def test_synthesize_checks_every_residual(monkeypatch, field):
     # The block is exactly the target, so only the other residual can fail it.
