@@ -7,6 +7,13 @@ constructions, a rewrite-rule lowering pass, small-unitary synthesis, and a
 dense simulator that certifies every identity up to global phase.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads, unless the user chose a count: the
+# kernels multiply tiny gate matrices into big states, where threads only cost.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .gadgets import (
     AuxWire,
     FlipCheck,

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -41,13 +41,8 @@ class RunReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "command": self.command,
-            "ok": self.ok,
-            "metrics": self.metrics,
-            "artifacts": self.artifacts,
-        }
-        payload.update(self.extra)
+        payload = asdict(self)
+        payload.update(payload.pop("extra"))
         return payload
 
 
@@ -161,9 +156,10 @@ def cmd_synthesize(args: argparse.Namespace) -> RunReport:
         u = haar_su(dim, args.seed)
     result = synthesize(u)
     circuit_text = serialize_circuit(result.lowered.circuit)
+    residuals = (result.distance, result.catalyst_deficit, result.leakage)
     rep = RunReport(
         command="synthesize",
-        ok=max(result.distance, result.catalyst_deficit, result.leakage) <= VERIFY_TOL,
+        ok=all(r <= VERIFY_TOL for r in residuals),
         metrics={
             "distance": result.distance,
             "ccz_count": float(result.lowered.counts[Gate.CCZ]),
@@ -301,18 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.func(args)
     except (CircuitError, LoweringError, SynthesisError, ValueError, OSError, MemoryError) as exc:
-        if args.json:
-            failure = {
-                "command": args.command,
-                "ok": False,
-                "metrics": {},
-                "artifacts": [],
-                "error": str(exc),
-            }
-            print(json.dumps(failure, indent=2))
-        else:
+        if not args.json:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
+            return 1
+        report = RunReport(args.command, ok=False, extra={"error": str(exc)})
     return _emit(report, args.json)
 
 

@@ -29,6 +29,8 @@ from .sim import (
 _S = gate_matrix(GateKind(Gate.S))
 _CS = gate_matrix(GateKind(Gate.CS))
 _BITS = (KET_0, KET_1)
+# Largest ``PrepCheck.max_error`` that ``verify_one_prep`` passes.
+PREP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def cs_gadget() -> Gadget:
     )
 
 
-def induced_on_data(g: Gadget, tol: float = 1e-12) -> tuple[np.ndarray, CatalyticReport]:
+def induced_on_data(g: Gadget) -> tuple[np.ndarray, CatalyticReport]:
     """Extract the operator a gadget applies to its data register.
 
     One column pass feeds the catalyst |+i> and each aux wire its in-bit; the
@@ -121,7 +123,7 @@ def induced_on_data(g: Gadget, tol: float = 1e-12) -> tuple[np.ndarray, Catalyti
     outs = dict(ins)
     for a in g.aux:
         ins[a.qubit], outs[a.qubit] = _BITS[a.in_bit], _BITS[a.out_bit]
-    report = catalytic_report(evolve_columns(g.circuit, ins), g.catalyst_qubit, outs, tol)
+    report = catalytic_report(evolve_columns(g.circuit, ins), g.catalyst_qubit, outs)
     if report.induced is None:
         return np.zeros((0, 0), dtype=complex), report
     return report.induced, report
@@ -137,7 +139,7 @@ class PrepCheck:
     phase: float
 
 
-def verify_one_prep(c: Circuit, target_qubit: int, tol: float = 1e-10) -> PrepCheck:
+def verify_one_prep(c: Circuit, target_qubit: int) -> PrepCheck:
     """Check that ``c`` maps |0> on ``target_qubit`` to |1> and fixes the rest.
 
     All 2^(n-1) bystander basis states must ride along unchanged, up to one
@@ -155,7 +157,7 @@ def verify_one_prep(c: Circuit, target_qubit: int, tol: float = 1e-10) -> PrepCh
     miss = np.stack([zero, one - lam * np.eye(dim)])  # (target bit, bystanders, input)
     max_error = float(np.linalg.norm(miss, axis=(0, 1)).max())
     return PrepCheck(
-        passes=max_error <= tol,
+        passes=max_error <= PREP_TOL,
         max_error=max_error,
         gate_set_ok=not check_membership(c, HCCZ),
         phase=float(np.angle(lam)),

@@ -55,6 +55,9 @@ class Gate(Enum):
         member.takes_angle = takes_angle
         return member
 
+    # Members are singletons, so identity hashing agrees with ``==`` and runs in C.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GateKind:

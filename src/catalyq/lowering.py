@@ -29,9 +29,9 @@ catalyst fed |+i> and the ancilla |0>; it allocates 2^(n+k) amplitudes for n
 lowered wires, not the 2^(2n) of a full unitary, and is capped at
 ``sim.MAX_DENSE_QUBITS`` = 12 lowered wires. ``induce`` reads from it the
 induced block (<+i| on the catalyst, <1| on the ancilla), the catalyst
-deficit and the leakage out of that block. ``check_lemmas`` checks every
-table entry the same way, with the catalyst |+i> -> |+i> and the ancilla
-|1> -> |1>, by entrywise equality with the gate's matrix.
+deficit and the leakage out of that block. ``check_lemmas`` lowers each
+table entry's gate alone, one level deep, and compares ``induce`` of that
+output entrywise with the gate's matrix: it checks what ``lower`` emits.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,54 +95,16 @@ RULES: dict[Gate, Rule] = {
     Gate.RZ: ((Gate.H, (0,)), (Gate.RX, (0,)), (Gate.H, (0,))),
 }
 
-_LEMMA_THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)] + [0.7, -2.3]
-
-
-def _rule_error(gate: Gate, angle: float | None) -> float:
-    """Entrywise error of ``RULES[gate]`` against the gate it rewrites.
-
-    The expansion runs on the gate's operands plus the wires it names, with
-    the catalyst fixed |+i> -> |+i> and the ancilla |1> -> |1>. Phase is not
-    quotiented; a leaking catalyst or ancilla shows up as a non-unitary block.
-    """
-    rule = RULES[gate]
-    n = gate.arity
-    named = sorted({w for _, ws in rule for w in ws if w < 0})
-    added = {w: n + i for i, w in enumerate(named)}
-    circuit = Circuit(
-        n + len(added),
-        tuple(
-            GateApp(GateKind(g, angle if g.takes_angle else None),
-                    tuple(added.get(w, w) for w in ws))
-            for g, ws in rule
-        ),
-    )
-    fixed = {q: KET_PLUS_I if w == C else KET_1 for w, q in added.items()}
-    induced = sim.induce(circuit, fixed, fixed).block
-    return float(np.abs(induced - gate_matrix(GateKind(gate, angle))).max())
-
-
-def check_lemmas() -> float:
-    """Max entrywise error over every ``RULES`` entry; callers assert it's tiny."""
-    return max(
-        _rule_error(gate, theta)
-        for gate in RULES
-        for theta in (_LEMMA_THETAS if gate.takes_angle else [None])
-    )
-
 
 @dataclass(frozen=True)
 class LoweredCircuit:
     """A rewritten circuit plus the resource layout and rewrite statistics."""
 
     circuit: Circuit
-    target: GateSetProfile
     catalyst_qubit: int | None
     ancilla_qubits: tuple[tuple[int, str], ...]
     counts: dict[Gate, int]
-    s_gadget_instances: int
-    cs_gadget_instances: int
-    cz_substitutions: int
+    rule_instances: dict[Gate, int]  # times each ``RULES`` entry fired, 0 if never
 
 
 # The ancilla's |0> -> |1> prep; ``_flatten`` puts it before every rule that
@@ -246,23 +208,20 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
     circuit = Circuit(c.num_qubits + need_cat + need_anc, tuple(gates))
     assert not check_membership(circuit, target)
 
-    def instances(rule: Gate) -> int:
-        return sum(k * plans[g].fired[rule] for g, k in kinds.items())
-
     counts = {g: 0 for g in Gate}
     counts[Gate.X] += prepped
+    rule_instances = dict.fromkeys(RULES, 0)
     for gate, k in kinds.items():
         for g, _, _ in plans[gate].gates:
             counts[g] += k
+        for rule, fired in plans[gate].fired.items():
+            rule_instances[rule] += k * fired
     return LoweredCircuit(
         circuit=circuit,
-        target=target,
         catalyst_qubit=cat,
         ancilla_qubits=((anc, "0"),) if need_anc else (),
         counts=counts,
-        s_gadget_instances=instances(Gate.S),
-        cs_gadget_instances=instances(Gate.CS),
-        cz_substitutions=instances(Gate.CZ),
+        rule_instances=rule_instances,
     )
 
 
@@ -285,38 +244,33 @@ class CountReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> str:
-        """Byte-stable JSON with pinned key order."""
-        payload = {
-            "counts": self.counts,
-            "catalyst": self.catalyst,
-            "ancilla": self.ancilla,
-            "ccz_per_cs": self.ccz_per_cs,
-            "ccz_per_s": self.ccz_per_s,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, indent=2)
+        """Byte-stable JSON; the field order is the key order."""
+        return json.dumps(asdict(self), indent=2)
 
 
-def _ccz_per(gate: Gate) -> float:
+def _ccz_per(lowered: LoweredCircuit, gate: Gate) -> float | None:
+    """CCZ in one ``RULES[gate]`` expansion, or None if the rule never fired."""
+    if not lowered.rule_instances[gate]:
+        return None
     return float(sum(g is Gate.CCZ for g, _ in RULES[gate]))
 
 
 def count_report(lowered: LoweredCircuit) -> CountReport:
     """Gate-count accounting for a lowering, including per-gadget CCZ rates."""
-    per_cs = _ccz_per(Gate.CS) if lowered.cs_gadget_instances else None
-    per_s = _ccz_per(Gate.S) if lowered.s_gadget_instances else None
     return CountReport(
         counts={g.value: lowered.counts[g] for g in Gate},
         catalyst=lowered.catalyst_qubit is not None,
         ancilla=len(lowered.ancilla_qubits),
-        ccz_per_cs=per_cs,
-        ccz_per_s=per_s,
+        ccz_per_cs=_ccz_per(lowered, Gate.CS),
+        ccz_per_s=_ccz_per(lowered, Gate.S),
         notes=_REPORT_NOTES,
     )
 
 
 # The check ``induce`` makes, as reports name it: a dense pass over all data columns.
 VERIFY_METHOD = "dense_columns"
+# Largest distance, catalyst deficit and leakage ``verify_lowering`` passes.
+LOWERING_TOL = 1e-10
 
 
 def induce(lowered: LoweredCircuit) -> sim.Induced:
@@ -339,6 +293,29 @@ def induced_block(lowered: LoweredCircuit) -> np.ndarray:
     return induce(lowered).block
 
 
+_LEMMA_THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)] + [0.7, -2.3]
+
+
+def _rule_error(gate: Gate, angle: float | None) -> float:
+    """Entrywise error of ``RULES[gate]`` against the gate it rewrites, read by
+    ``induce`` off ``lower``'s own output for ``gate`` alone and a target that
+    admits every other tag, so that exactly one level of the rule fires."""
+    kind = GateKind(gate, angle)
+    source = Circuit(gate.arity, (GateApp(kind, tuple(range(gate.arity))),))
+    one_level = GateSetProfile(f"all but {gate.value}", lambda g: g is not gate)
+    block = induce(lower(source, one_level)).block
+    return float(np.abs(block - gate_matrix(kind)).max())
+
+
+def check_lemmas() -> float:
+    """Max entrywise error over every ``RULES`` entry; callers assert it's tiny."""
+    return max(
+        _rule_error(gate, theta)
+        for gate in RULES
+        for theta in (_LEMMA_THETAS if gate.takes_angle else [None])
+    )
+
+
 @dataclass(frozen=True)
 class LoweringCheck:
     ok: bool
@@ -347,18 +324,16 @@ class LoweringCheck:
     leakage: float
 
 
-def verify_lowering(
-    source: Circuit, lowered: LoweredCircuit, tol: float = 1e-10
-) -> LoweringCheck:
+def verify_lowering(source: Circuit, lowered: LoweredCircuit) -> LoweringCheck:
     """Dense check that the lowering induces the source unitary on data wires.
 
-    Distance is global-phase aligned against the source circuit's unitary;
-    ``ok`` needs it, the catalyst deficit and the leakage all within ``tol``.
+    Distance is global-phase aligned against the source circuit's unitary; ``ok``
+    needs it, the catalyst deficit and the leakage all within ``LOWERING_TOL``.
     """
     got = induce(lowered)
     distance = phase_aligned_distance(got.block, circuit_unitary(source))
     return LoweringCheck(
-        ok=all(r <= tol for r in (distance, got.catalyst_deficit, got.leakage)),
+        ok=all(r <= LOWERING_TOL for r in (distance, got.catalyst_deficit, got.leakage)),
         distance=distance,
         catalyst_deficit=got.catalyst_deficit,
         leakage=got.leakage,

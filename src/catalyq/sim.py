@@ -49,6 +49,8 @@ from .ir import Circuit, Gate, GateApp, GateKind
 
 MAX_DENSE_QUBITS = 12
 MAX_STATE_QUBITS = 24
+# Default bound on a catalytic factoring's residual and non-unitarity.
+CATALYTIC_TOL = 1e-12
 
 # Single-qubit kets by wire.
 Kets = dict[int, np.ndarray]
@@ -399,7 +401,7 @@ class CatalyticReport:
 
 
 def catalytic_report(
-    cols: np.ndarray, catalyst: int, outs: Kets, tol: float = 1e-12
+    cols: np.ndarray, catalyst: int, outs: Kets, tol: float = CATALYTIC_TOL
 ) -> CatalyticReport:
     """Factor ``evolve_columns`` output, catalyst fed cat = ``outs[catalyst]``.
 
@@ -426,7 +428,7 @@ def extract_catalytic(
     u: np.ndarray,
     catalyst_qubit: int,
     catalyst_state: np.ndarray,
-    tol: float = 1e-12,
+    tol: float = CATALYTIC_TOL,
 ) -> CatalyticReport:
     """Test whether ``u`` acts as (catalyst kept intact) x (unitary on the rest).
 

@@ -39,14 +39,18 @@ class SynthesisError(ValueError):
 _FAMILY_EPS = 1e-13
 # Largest distance, catalyst deficit and leakage a synthesized circuit may show.
 VERIFY_TOL = 1e-8
+# Largest ||u^dag u - I||_F an input matrix may show.
+UNITARY_TOL = 1e-10
 
 
-def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise SynthesisError("input must be a square matrix")
+    if not np.isfinite(u).all():
+        raise SynthesisError("input has a non-finite entry")
     dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
+    if not dev <= UNITARY_TOL:
         raise SynthesisError(f"input is not unitary (deviation {dev:.3e})")
     return u
 
@@ -199,7 +203,7 @@ def decompose_su2m(u: np.ndarray) -> Circuit:
         raise SynthesisError(f"dimension {dim} is not 2^m with m in 1..3")
     circuit = Circuit(m, tuple(_qsd(u, list(range(m)))))
     dist = phase_aligned_distance(circuit_unitary(circuit), u)
-    if dist > 1e-9:
+    if not dist <= 1e-9:
         raise SynthesisError(f"decomposition self-check failed (distance {dist:.3e})")
     return circuit
 
@@ -231,7 +235,7 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
     got = induce(lowered)
     distance = phase_aligned_distance(got.block, u)
     t3 = time.perf_counter()
-    if max(distance, got.catalyst_deficit, got.leakage) > VERIFY_TOL:
+    if not all(r <= VERIFY_TOL for r in (distance, got.catalyst_deficit, got.leakage)):
         raise SynthesisError(
             f"synthesis verification failed (distance {distance:.3e}, catalyst "
             f"deficit {got.catalyst_deficit:.3e}, leakage {got.leakage:.3e})"

@@ -1,11 +1,16 @@
 """End-to-end exercises of the command-line interface via main(argv)."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from catalyq import cli
 from catalyq.cli import main
 from catalyq.ir import HCCZ, Gate, check_membership, gate_counts, parse_circuit
 from catalyq.synth import format_matrix
@@ -234,6 +239,27 @@ def test_synthesize_non_unitary_matrix(tmp_path, capsys):
     assert "not unitary" in payload["error"]
 
 
+@pytest.mark.parametrize("entry", ["inf,0", "nan,0", "0,-inf"])
+def test_synthesize_non_finite_matrix(tmp_path, capsys, entry):
+    f = tmp_path / "bad.mat"
+    f.write_text(f"dim 2\n1,0 0,0\n0,0 {entry}\n")
+    code, out, _ = run_cli(["synthesize", "--m", "1", "--matrix", str(f), "--json"], capsys)
+    assert code == 1
+    payload = json.loads(out, parse_constant=pytest.fail)  # strict JSON: no NaN token
+    assert payload["ok"] is False
+    assert "non-finite" in payload["error"]
+
+
+def test_synthesize_nan_residual_is_not_ok(monkeypatch, capsys):
+    real = cli.synthesize
+    monkeypatch.setattr(
+        cli, "synthesize", lambda u: dataclasses.replace(real(u), leakage=math.nan)
+    )
+    code, payload, _ = run_json(["synthesize", "--m", "1", "--seed", "3"], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+
+
 def test_synthesize_dimension_mismatch(tmp_path, capsys):
     f = tmp_path / "s.mat"
     f.write_text(format_matrix(np.diag([1.0, 1j])))
@@ -389,3 +415,21 @@ def test_simulate_text_mode_lists_kets(tmp_path, capsys):
     assert code == 0
     assert "|0>" in out and "|1>" in out
     assert "ok: true" in out
+
+
+# --- process setup ---
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    probe = f"import os, catalyq; print([os.environ[v] for v in {BLAS_VARS!r}])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr([expected] * 3)

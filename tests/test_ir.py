@@ -1,6 +1,7 @@
 """Circuit IR: construction rules, text format, counts, membership."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -211,3 +212,11 @@ def test_angle_formatting_round_trips_doubles():
         c = circuit_of(1, ry(angle, 0))
         back = parse_circuit(serialize_circuit(c))
         assert back.gates[0].kind.angle == angle
+
+
+def test_gate_lookup_by_value_name_and_pickle_finds_one_entry():
+    table = {Gate.H: "h"}
+    for key in (Gate("H"), Gate["H"], pickle.loads(pickle.dumps(Gate.H))):
+        assert key is Gate.H
+        assert table[key] == "h"
+    assert len({Gate("CCZ"), Gate["CCZ"], pickle.loads(pickle.dumps(Gate.CCZ))}) == 1

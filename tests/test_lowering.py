@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalyq import lowering
 from catalyq.ir import (
     FULL,
     HCCZ,
@@ -74,6 +75,13 @@ def test_lemma_table():
 )
 def test_corrupted_rule_fails_lemma_check(monkeypatch, gate, broken):
     monkeypatch.setitem(RULES, gate, broken)
+    assert check_lemmas() > 1e-6
+
+
+def test_lemma_check_runs_the_emitted_prep(monkeypatch):
+    # The lemma check reads ``lower``'s own output: a wrong ancilla prep in
+    # ``lower`` (Z leaves |0> at |0>) must fail it.
+    monkeypatch.setattr(lowering, "x", z)
     assert check_lemmas() > 1e-6
 
 
@@ -145,7 +153,7 @@ def test_lowering_members_is_identity():
     assert low.circuit == c
     assert low.catalyst_qubit is None
     assert low.ancilla_qubits == ()
-    assert low.s_gadget_instances == 0
+    assert low.rule_instances[Gate.S] == 0
 
 
 def test_resources_capped_at_one_catalyst_one_ancilla():
@@ -220,9 +228,9 @@ def test_count_law_exact():
         src = random_circuit(rng, 2, 15, tags=SOURCE_TAGS)
         low = lower(src, REAL_O2_CCZ)
         expected = (
-            2 * low.cs_gadget_instances
-            + 2 * low.s_gadget_instances
-            + low.cz_substitutions
+            2 * low.rule_instances[Gate.CS]
+            + 2 * low.rule_instances[Gate.S]
+            + low.rule_instances[Gate.CZ]
         )
         assert low.counts[Gate.CCZ] == expected
 
@@ -231,9 +239,9 @@ def test_count_law_with_source_ccz_passthrough():
     src = circuit_of(3, ccz(0, 1, 2), s(0), ccz(0, 1, 2), cz(1, 2))
     low = lower(src, REAL_O2_CCZ)
     law = (
-        2 * low.cs_gadget_instances
-        + 2 * low.s_gadget_instances
-        + low.cz_substitutions
+        2 * low.rule_instances[Gate.CS]
+        + 2 * low.rule_instances[Gate.S]
+        + low.rule_instances[Gate.CZ]
     )
     assert low.counts[Gate.CCZ] == law + 2  # the two source CCZ ride through
 
@@ -295,15 +303,19 @@ def test_lowering_is_verified_or_names_first_bad_gate(src):
 @given(source_circuits(max_wires=4, max_gates=24))
 def test_counts_match_the_emitted_circuit(src):
     # ``lower`` derives its counts from the rule plans; they must equal a
-    # recount of what it emitted, and the CCZ count must obey the count law.
+    # recount of what it emitted, and the CCZ count must obey the count law:
+    # each rule instance adds the CCZ its own entries name (nested rules
+    # fire, and are counted, on their own).
     ccz_in = gate_counts(src)[Gate.CCZ]
+    own_ccz = {g: sum(sub is Gate.CCZ for sub, _ in rule) for g, rule in RULES.items()}
     for profile in PROFILES.values():
         try:
             low = lower(src, profile)
         except LoweringError:
             continue
         assert low.counts == gate_counts(low.circuit)
-        law = ccz_in + 2 * (low.s_gadget_instances + low.cs_gadget_instances) + low.cz_substitutions
+        assert low.rule_instances.keys() == RULES.keys()
+        law = ccz_in + sum(k * own_ccz[g] for g, k in low.rule_instances.items())
         assert low.counts[Gate.CCZ] == law
 
 
@@ -330,7 +342,7 @@ GOLDEN_SOURCES = {
     ),
 }
 
-# sha256 of serialize_circuit, then S gadgets, CS gadgets, CZ substitutions.
+# sha256 of serialize_circuit, then rule_instances of S, CS and CZ.
 GOLDEN_LOWERINGS = {
     ("every_gate", "REAL_O2_CCZ"): (
         "1fc1cfcb4786c2417acbd6b0c3445ab8ca403579e8bf97f3659d9a63972cc7c4", 12, 1, 1),
@@ -361,7 +373,8 @@ GOLDEN_REJECTIONS = {
 def test_lowered_output_is_pinned(source, target):
     low = lower(GOLDEN_SOURCES[source], PROFILES[target])
     digest = hashlib.sha256(serialize_circuit(low.circuit).encode()).hexdigest()
-    got = (digest, low.s_gadget_instances, low.cs_gadget_instances, low.cz_substitutions)
+    instances = low.rule_instances
+    got = (digest, instances[Gate.S], instances[Gate.CS], instances[Gate.CZ])
     assert got == GOLDEN_LOWERINGS[source, target]
 
 
@@ -523,5 +536,5 @@ def test_rates_cover_derived_s_gadgets():
     # S gadgets born from an RX rewrite still set the per-S rate.
     low = lower(circuit_of(1, GateApp(GateKind(Gate.RX, 0.7), (0,))), REAL_O2_CCZ)
     rep = count_report(low)
-    assert low.s_gadget_instances == 4  # S + three for the inverse
+    assert low.rule_instances[Gate.S] == 4  # S + three for the inverse
     assert rep.ccz_per_s == 2.0

@@ -152,7 +152,7 @@ def test_synthesize_rx_via_conjugated_y_rotation():
     assert res.distance <= 1e-10
     assert check_membership(res.lowered.circuit, REAL_O2_CCZ) == []
     # The sandwich costs four S-gadget applications around one RY.
-    assert res.lowered.s_gadget_instances == 4
+    assert res.lowered.rule_instances[Gate.S] == 4
     assert res.lowered.counts[Gate.RY] == 1
 
 
@@ -183,12 +183,23 @@ def test_synthesize_reports_stage_timings_and_method():
 
 @pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
 def test_synthesize_checks_every_residual(monkeypatch, field):
-    # The block is exactly the target, so only the other residual can fail it.
+    # The block is exactly the target, so only the other residual can fail
+    # it, and a NaN residual must fail it as surely as a large one.
     target = np.diag([1.0, 1j])
-    residuals = {"catalyst_deficit": 0.0, "leakage": 0.0, field: 1e-6}
-    monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=target, **residuals))
-    with pytest.raises(SynthesisError, match="verification failed"):
-        synthesize(target)
+    for value in (1e-6, float("nan")):
+        residuals = {"catalyst_deficit": 0.0, "leakage": 0.0, field: value}
+        monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=target, **residuals))
+        with pytest.raises(SynthesisError, match="verification failed"):
+            synthesize(target)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("compile_", [synthesize, decompose_su2m])
+def test_non_finite_matrix_is_rejected(compile_, bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(SynthesisError, match="non-finite"):
+        compile_(u)
 
 
 # --- haar sampling and the matrix file format ---
