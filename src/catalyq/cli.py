@@ -75,10 +75,9 @@ def _gadget_error(g) -> float:
 def cmd_verify(args: argparse.Namespace) -> RunReport:
     tol = args.tol
     steps = args.theta_steps
-    max_rz = max(
-        (_gadget_error(rz_gadget(2.0 * math.pi * k / steps)) for k in range(steps)),
-        default=0.0,
-    )
+    if steps < 1:
+        raise ValueError(f"--theta-steps must be at least 1, got {steps}")
+    max_rz = max(_gadget_error(rz_gadget(2.0 * math.pi * k / steps)) for k in range(steps))
     s_err = _gadget_error(s_gadget())
     cs_err = _gadget_error(cs_gadget())
     flip = catalyst_flip_check()

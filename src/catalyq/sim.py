@@ -14,8 +14,13 @@ is allocated.
 ``run`` copies its input once, so the caller's array is never written;
 ``evolve_columns`` starts from one basis column per input of the free wires,
 with each fixed wire fed its ket and the columns as a trailing batch axis
-(``circuit_unitary`` is the case with nothing fixed). Both apply each gate
-with one kernel, ``_apply``, which never builds the gate's embedding:
+(``circuit_unitary`` is the case with nothing fixed). Both share one gate
+loop, ``_evolve``: up to ``_FUSE_MAX_QUBITS`` wires each maximal run of two
+or more angle-free gates is one product with its 2^n x 2^n operator, built
+once and kept read-only by ``_fused``, an LRU cache keyed by the width and
+the run's (tag, wires) pairs. Angles are never in a key, so the cache cannot
+grow with them. Other gates, and all gates on wider arrays, go through the
+kernel ``_apply``, which never builds the gate's embedding:
 
 - diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
   slice where every operand bit is 1 by the gate's phase (RZ phases both
@@ -29,8 +34,7 @@ with one kernel, ``_apply``, which never builds the gate's embedding:
 On a large array whose trailing block ``right`` (amplitudes right of the
 target wire, batch included) is short, a one-qubit gate is one gemm against
 kron(m, I_right) instead. Which path a gate takes depends only on the array's
-shape. ``_apply_tensor`` is the plain tensordot contraction, kept as the
-reference the kernel is tested against.
+shape.
 
 ``induce`` reads the operator induced on the free wires off one column pass
 (``project`` fixes the output kets); ``catalytic_report`` factors such
@@ -40,6 +44,7 @@ columns across a catalyst wire, for gadgets and ``extract_catalytic`` alike.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,20 +122,6 @@ def _num_qubits_of(dim: int) -> int:
     return n
 
 
-def _apply_tensor(psi: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract ``mat`` into tensor ``psi`` along the given qubit axes.
-
-    ``psi`` has shape [2]*n (+ optional trailing batch axes); ``mat`` is
-    2^k x 2^k with axis order matching ``axes``. Returns a new tensor. This
-    is the reference the kernel ``_apply`` is tested against; the simulator
-    itself does not call it.
-    """
-    k = len(axes)
-    tensor = mat.reshape([2] * (2 * k))
-    out = np.tensordot(tensor, psi, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
-
-
 # Index pieces that keep every axis, so each indexed slice is a view.
 _ALL = slice(None)
 _BIT = (slice(0, 1), slice(1, 2))
@@ -206,6 +197,50 @@ def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
     return psi
 
 
+# At the cap a fused operator is 32x32 complex (16 KiB), so the cache holds
+# 4 MiB at most. A miss builds it on all 2^n columns, which costs more than
+# the run; synthesis, whose run shapes recur, stays within the cap.
+_FUSE_MAX_QUBITS = 5
+_FUSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_FUSE_CACHE_SIZE)
+def _fused(n: int, run: tuple[tuple[Gate, tuple[int, ...]], ...]) -> np.ndarray:
+    """The read-only 2^n x 2^n operator of angle-free (tag, wires) pairs."""
+    dim = 1 << n
+    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for gate, qubits in run:
+        op = _apply(op, GateApp(GateKind(gate), qubits))
+    op = np.ascontiguousarray(op.reshape(dim, dim))
+    op.flags.writeable = False
+    return op
+
+
+def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
+    """Apply ``gates`` in order to ``psi``, shaped as for ``_apply``."""
+    if n > _FUSE_MAX_QUBITS:
+        for app in gates:
+            psi = _apply(psi, app)
+        return psi
+    run: list[GateApp] = []
+    for app in gates:
+        if app.kind.angle is None:
+            run.append(app)
+            continue
+        psi = _apply(_apply_run(psi, run, n), app)
+        run = []
+    return _apply_run(psi, run, n)
+
+
+def _apply_run(psi: np.ndarray, run: list[GateApp], n: int) -> np.ndarray:
+    if len(run) == 1:
+        return _apply(psi, run[0])
+    if run:
+        op = _fused(n, tuple((app.kind.gate, app.qubits) for app in run))
+        psi = (op @ psi.reshape(1 << n, -1)).reshape(psi.shape)
+    return psi
+
+
 def _check_state_width(num_qubits: int) -> None:
     if num_qubits > MAX_STATE_QUBITS:
         raise ValueError(
@@ -225,9 +260,7 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
             f"state has dimension {state.shape[0]}, circuit needs {1 << c.num_qubits}"
         )
     psi = np.array(state, dtype=complex).reshape([2] * c.num_qubits)
-    for app in c.gates:
-        psi = _apply(psi, app)
-    return psi.reshape(-1)
+    return _evolve(psi, c.gates, c.num_qubits).reshape(-1)
 
 
 def evolve_columns(c: Circuit, fixed: Kets) -> np.ndarray:
@@ -252,9 +285,7 @@ def evolve_columns(c: Circuit, fixed: Kets) -> np.ndarray:
     for w in sorted(fixed):
         ket = np.asarray(fixed[w], dtype=complex).reshape((2,) + (1,) * (psi.ndim - w))
         psi = np.expand_dims(psi, w) * ket
-    for app in c.gates:
-        psi = _apply(psi, app)
-    return psi
+    return _evolve(psi, c.gates, n)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -367,27 +398,6 @@ def product_state(tokens: list[str]) -> np.ndarray:
             raise ValueError(f"unknown state token {tok!r}")
         psi = np.kron(psi, STATE_TOKENS[tok])
     return psi
-
-
-def project_wires(op: np.ndarray, num_qubits: int, ins: Kets, outs: Kets) -> np.ndarray:
-    """Sandwich ``op`` between fixed states on selected wires.
-
-    Returns (tensor of <out_w| for w in outs) op (tensor of |in_w> for ins),
-    an operator on the remaining wires in ascending index order. ``ins`` and
-    ``outs`` must fix the same wires. Built from a full dense operator, it is
-    the reference the column readout ``induce`` is tested against.
-    """
-    if set(ins) != set(outs):
-        raise ValueError("ins and outs must fix the same wires")
-    n = num_qubits
-    t = np.asarray(op, dtype=complex).reshape([2] * (2 * n))
-    # Contract highest axis indices first so earlier positions stay valid.
-    for w in sorted(ins, reverse=True):
-        t = np.tensordot(t, ins[w], axes=([n + w], [0]))
-    for w in sorted(outs, reverse=True):
-        t = np.tensordot(outs[w].conj(), t, axes=([0], [w]))
-    keep = n - len(ins)
-    return t.reshape(1 << keep, 1 << keep)
 
 
 @dataclass(frozen=True)

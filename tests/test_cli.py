@@ -48,6 +48,19 @@ def test_verify_single_step(capsys):
     assert payload["metrics"]["theta_steps"] == 1.0
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_verify_refuses_an_empty_theta_grid(steps, capsys):
+    # No RZ gadget would be checked, so there is nothing to report ok.
+    code, payload, _ = run_json(["verify", "--theta-steps", steps], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert "--theta-steps must be at least 1" in payload["error"]
+    code, out, err = run_cli(["verify", "--theta-steps", steps], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--theta-steps must be at least 1" in err
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     code, payload, _ = run_json(["verify", "--theta-steps", "4", "--tol", "1e-30"], capsys)
     assert code == 1

@@ -30,10 +30,10 @@ from catalyq.sim import (
     gate_matrix,
     phase_aligned_distance,
     product_state,
-    project_wires,
     run,
 )
 from conftest import random_circuit
+from oracles import project_wires
 
 S_MAT = np.diag([1.0, 1j])
 THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)]

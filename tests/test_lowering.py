@@ -46,8 +46,9 @@ from catalyq.lowering import (
     lower,
     verify_lowering,
 )
-from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary, project_wires
+from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary
 from conftest import random_circuit
+from oracles import project_wires
 
 THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)]
 

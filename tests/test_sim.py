@@ -33,8 +33,9 @@ from catalyq.sim import (
     KET_PLUS_I,
     MAX_DENSE_QUBITS,
     MAX_STATE_QUBITS,
+    _FUSE_MAX_QUBITS,
     _apply,
-    _apply_tensor,
+    _fused,
     basis_state,
     circuit_unitary,
     evolve_columns,
@@ -42,10 +43,10 @@ from catalyq.sim import (
     gate_matrix,
     phase_aligned_distance,
     product_state,
-    project_wires,
     run,
 )
 from conftest import random_circuit
+from oracles import apply_tensor, project_wires
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -268,7 +269,7 @@ def test_kernel_matches_tensordot_on_states(case):
     kind, n, placements, seed = case
     for qubits in placements:
         psi = random_state(n, seed)
-        expected = _apply_tensor(psi, gate_matrix(kind), qubits)
+        expected = apply_tensor(psi, gate_matrix(kind), qubits)
         got = _apply(psi.copy(), GateApp(kind, qubits))
         assert got.shape == psi.shape
         assert np.abs(got - expected).max() <= 1e-12
@@ -285,7 +286,7 @@ def test_kernel_gemm_path_on_wide_states(gate):
         wire_sets = [(n - 1, n - 2), (n - 2, n - 1), (3, n - 1), (n - 1, 3), (0, 8)]
     for qubits in wire_sets:
         psi = random_state(n, 5)
-        expected = _apply_tensor(psi, gate_matrix(kind), qubits)
+        expected = apply_tensor(psi, gate_matrix(kind), qubits)
         got = _apply(psi.copy(), GateApp(kind, qubits))
         assert np.abs(got - expected).max() <= 1e-12
 
@@ -297,7 +298,7 @@ def test_kernel_matches_tensordot_on_identity_batch(case):
     dim = 1 << n
     for qubits in placements:
         eye = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-        expected = _apply_tensor(eye, gate_matrix(kind), qubits)
+        expected = apply_tensor(eye, gate_matrix(kind), qubits)
         got = _apply(eye.copy(), GateApp(kind, qubits))
         assert got.shape == eye.shape
         assert np.abs(got - expected).max() <= 1e-12
@@ -329,6 +330,64 @@ def test_run_leaves_the_input_unchanged(n, seed):
     out = run(c, state)
     assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
     assert not np.shares_memory(out, state)
+
+
+# --- fused runs of angle-free gates ---
+
+@st.composite
+def fused_cases(draw):
+    """A circuit on 1-8 wires, across the fusion cap, cut into runs of 0-6
+    angle-free gates by angled ones, plus a random state and fixed wires."""
+    n = draw(st.integers(1, 8))
+    free = [g for g in Gate if not g.takes_angle and g.arity <= n]
+    angled = [g for g in Gate if g.takes_angle and g.arity <= n]
+
+    def app(pool):
+        gate = draw(st.sampled_from(pool))
+        wires = tuple(draw(st.permutations(range(n)))[: gate.arity])
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if gate.takes_angle else None
+        return GateApp(GateKind(gate, angle), wires)
+
+    apps = []
+    for _ in range(draw(st.integers(0, 4))):
+        apps += [app(free) for _ in range(draw(st.integers(0, 6)))]
+        if draw(st.booleans()):
+            apps.append(app(angled))
+    wires = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kets = [draw(st.sampled_from([KET_0, KET_1, KET_PLUS_I, KET_MINUS_I])) for _ in wires]
+    return Circuit(n, tuple(apps)), draw(st.integers(0, 2**32 - 1)), dict(zip(wires, kets))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fused_cases())
+def test_fused_loop_matches_the_oracle(case):
+    c, seed, fixed = case
+    n = c.num_qubits
+    want = oracle_unitary(c)
+    assert np.abs(circuit_unitary(c) - want).max() <= 1e-12
+    state = random_state(n, seed).reshape(-1)
+    assert np.abs(run(c, state) - want @ state).max() <= 1e-12
+    cols = evolve_columns(c, fixed).reshape(1 << n, -1)
+    assert np.abs(cols - want @ kron_inputs(n, fixed)).max() <= 1e-12
+
+
+def test_cache_hit_repeats_the_miss_bit_for_bit():
+    c = random_circuit(np.random.default_rng(8), _FUSE_MAX_QUBITS, 60)
+    _fused.cache_clear()
+    first = circuit_unitary(c)
+    misses = _fused.cache_info().misses
+    assert misses > 0
+    again = circuit_unitary(c)
+    assert _fused.cache_info().misses == misses
+    assert _fused.cache_info().hits >= misses
+    assert np.array_equal(first.view(np.uint64), again.view(np.uint64))
+
+
+def test_cached_operator_is_read_only():
+    op = _fused(2, ((Gate.H, (0,)), (Gate.CZ, (0, 1))))
+    assert np.abs(op - oracle_unitary(circuit_of(2, h(0), cz(0, 1)))).max() <= 1e-15
+    with pytest.raises(ValueError, match="read-only"):
+        op[0, 0] = 0.0
 
 
 # --- width caps ---
