@@ -28,7 +28,7 @@ from .ir import (
     serialize_circuit,
 )
 from .lowering import VERIFY_METHOD, LoweringError, count_report, lower, verify_lowering
-from .sim import product_state, run
+from .sim import basis_state, product_state, run
 from .synth import VERIFY_TOL, SynthesisError, haar_su, parse_matrix, synthesize
 
 
@@ -211,12 +211,16 @@ def cmd_counts(args: argparse.Namespace) -> RunReport:
 
 def cmd_simulate(args: argparse.Namespace) -> RunReport:
     c = _read_circuit(args.circuit)
-    tokens = args.input.split(",") if args.input else ["0"] * c.num_qubits
-    if len(tokens) != c.num_qubits:
-        raise CircuitError(
-            f"--input has {len(tokens)} tokens but the circuit has {c.num_qubits} qubits"
-        )
-    psi = run(c, product_state(tokens))
+    if args.input:
+        tokens = args.input.split(",")
+        if len(tokens) != c.num_qubits:
+            raise CircuitError(
+                f"--input has {len(tokens)} tokens but the circuit has {c.num_qubits} qubits"
+            )
+        state = product_state(tokens)
+    else:
+        state = basis_state(c.num_qubits, 0)  # all |0>; checks the width first
+    psi = run(c, state)
     amplitudes = []
     for idx, amp in enumerate(psi):
         if abs(amp) >= args.cutoff:

@@ -241,10 +241,6 @@ def parse_circuit(text: str) -> Circuit:
         except KeyError:
             raise CircuitError(f"line {line_no}: unknown gate {m.group('name')!r}") from None
         angle_token = m.group("angle")
-        if gate.takes_angle and angle_token is None:
-            raise CircuitError(f"line {line_no}: {gate.value} requires an angle")
-        if not gate.takes_angle and angle_token is not None:
-            raise CircuitError(f"line {line_no}: {gate.value} takes no angle")
         angle = _parse_angle(angle_token, line_no) if angle_token is not None else None
         operands: list[int] = []
         for tok in tokens[1:]:
@@ -261,10 +257,7 @@ def parse_circuit(text: str) -> Circuit:
             seen[line] = app
     if header is None:
         raise CircuitError("missing 'qubits <n>' header")
-    try:
-        return Circuit(header, tuple(apps))
-    except CircuitError as exc:
-        raise CircuitError(str(exc)) from None
+    return Circuit(header, tuple(apps))
 
 
 def _format_angle(angle: float) -> str:

@@ -2,8 +2,8 @@
 
 ``lower`` rewrites a circuit so every gate lands in a target gate set,
 spending at most one catalyst wire (|+i>, appended after the data wires) and
-at most one ancilla wire (|0>, X-prepped to |1> at first use, appended last).
-Data wires keep their source indices.
+at most one ancilla wire (|0>, appended last). Data wires keep their source
+indices.
 
 ``RULES`` is the only rule table. Each entry expands a gate over its own
 operands, the catalyst ``c`` and the ancilla ``a``:
@@ -19,9 +19,11 @@ operands, the catalyst ``c`` and the ancilla ``a``:
 
 A gate the target admits passes through; any other gate is expanded through
 the table until every gate is admitted, or is not lowerable (Y and CRY have
-no entry). The ancilla's X prep is emitted just before the first expansion
-that names ``a``, and counts as an emitted gate, so {H, CCZ} takes CS but not
-S or CZ.
+no entry). If any expansion names ``a``, the lowered circuit opens with the
+ancilla's one X prep (|0> -> |1>); then each source gate lowers, in source
+order, to one contiguous span: its own expansion, nothing else. The prep is
+an emitted gate too, so a rule that names ``a`` needs X admitted: {H, CCZ}
+takes CS but not S or CZ.
 
 Verification is one ``sim.induce`` pass over the data columns: the lowered
 circuit runs on all 2^k basis inputs of its k data wires at once, with the
@@ -107,21 +109,16 @@ class LoweredCircuit:
     rule_instances: dict[Gate, int]  # times each ``RULES`` entry fired, 0 if never
 
 
-# The ancilla's |0> -> |1> prep; ``_flatten`` puts it before every rule that
-# names the ancilla, and ``lower`` emits only the first one.
-_PREP = (Gate.X, (A,))
-
-
 def _flatten(gate: Gate, admits: Callable[[Gate], bool], fired: Counter) -> list | None:
-    """``gate`` on operands 0, 1, ... rewritten to admitted gates plus ``_PREP``
-    markers, or None if it has no rewrite; ``fired`` counts the rules used."""
+    """``gate`` on operands 0, 1, ... rewritten to admitted gates, or None if
+    it has no rewrite; ``fired`` counts the rules used."""
     if admits(gate):
         return [(gate, tuple(range(gate.arity)))]
     rule = RULES.get(gate)
     if rule is None:
         return None
     fired[gate] += 1
-    out = [_PREP] if any(A in ws for _, ws in rule) else []
+    out = []
     for sub, ws in rule:
         inner = _flatten(sub, admits, fired)
         if inner is None:
@@ -136,12 +133,11 @@ class _Plan:
     """How one gate kind lowers, decided once per ``lower`` call.
 
     ``gates`` holds (tag, shared GateKind or None for angled tags, wires over
-    (*operands, catalyst, ancilla)); the ancilla prep, if still due, goes
-    before ``gates[prep_at]``. No fired rule means the gate passes through.
+    (*operands, catalyst, ancilla)). No fired rule means the gate passes
+    through.
     """
 
     gates: tuple[tuple[Gate, GateKind | None, tuple[int, ...]], ...]
-    prep_at: int | None
     fired: Counter
     angled: tuple[int, ...]  # indices into ``gates`` of the angled tags
 
@@ -149,17 +145,13 @@ class _Plan:
 def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
     fired: Counter = Counter()
     flat = _flatten(gate, target.admits, fired)
-    # The X prep is an emitted gate too, so it must be admitted.
-    if flat is None or not all(target.admits(g) for g, _ in flat):
+    # A plan that names the ancilla needs its X prep admitted.
+    if flat is None or (any(A in ws for _, ws in flat) and not target.admits(Gate.X)):
         return None
-    gates = tuple(
-        (g, None if g.takes_angle else GateKind(g), ws) for g, ws in flat if (g, ws) != _PREP
-    )
     return _Plan(
-        gates=gates,
-        prep_at=flat.index(_PREP) if _PREP in flat else None,
+        gates=tuple((g, None if g.takes_angle else GateKind(g), ws) for g, ws in flat),
         fired=fired,
-        angled=tuple(j for j, (g, _, _) in enumerate(gates) if g.takes_angle),
+        angled=tuple(j for j, (g, _) in enumerate(flat) if g.takes_angle),
     )
 
 
@@ -175,14 +167,14 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
         if plan is None:
             i = next(i for i, app in enumerate(c.gates) if app.kind.gate is gate)
             raise LoweringError(f"gate {i} ({gate.value}) is not lowerable to {target.name}")
-    need_cat = any(C in ws for p in plans.values() for _, _, ws in p.gates)
-    need_anc = any(p.prep_at is not None for p in plans.values())
+    wires = {w for p in plans.values() for _, _, ws in p.gates for w in ws}
+    need_cat, need_anc = C in wires, A in wires
     cat = c.num_qubits if need_cat else None
     anc = c.num_qubits + need_cat if need_anc else None
 
-    gates: list[GateApp] = []
+    # The ancilla's one X prep comes first; after it each source gate is one span.
+    gates: list[GateApp] = [x(anc)] if need_anc else []
     built: dict[tuple[Gate, tuple[int, ...]], list[GateApp | None]] = {}
-    prepped = False
     for app in c.gates:
         plan = plans[app.kind.gate]
         if not plan.fired:
@@ -202,14 +194,11 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
         for j in plan.angled:
             g, _, ws = plan.gates[j]
             gates[at + j] = GateApp(GateKind(g, app.kind.angle), tuple(frame[w] for w in ws))
-        if plan.prep_at is not None and not prepped:
-            gates.insert(at + plan.prep_at, x(anc))
-            prepped = True
     circuit = Circuit(c.num_qubits + need_cat + need_anc, tuple(gates))
     assert not check_membership(circuit, target)
 
     counts = {g: 0 for g in Gate}
-    counts[Gate.X] += prepped
+    counts[Gate.X] += need_anc
     rule_instances = dict.fromkeys(RULES, 0)
     for gate, k in kinds.items():
         for g, _, _ in plans[gate].gates:

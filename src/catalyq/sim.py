@@ -62,16 +62,21 @@ Kets = dict[int, np.ndarray]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
+# Phase each diagonal gate puts on its all-ones slice; the rest is untouched.
+_ONES_PHASE: dict[Gate, complex] = {
+    Gate.Z: -1,
+    Gate.S: 1j,
+    Gate.SDG: -1j,
+    Gate.CZ: -1,
+    Gate.CS: 1j,
+    Gate.CCZ: -1,
+}
+
 _FIXED: dict[Gate, np.ndarray] = {
     Gate.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     Gate.X: np.array([[0, 1], [1, 0]], dtype=complex),
     Gate.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    Gate.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    Gate.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    Gate.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    Gate.CZ: np.diag([1, 1, 1, -1]).astype(complex),
-    Gate.CS: np.diag([1, 1, 1, 1j]).astype(complex),
-    Gate.CCZ: np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex),
+    **{g: np.diag([1] * (2**g.arity - 1) + [p]).astype(complex) for g, p in _ONES_PHASE.items()},
 }
 for _m in _FIXED.values():
     _m.flags.writeable = False
@@ -125,16 +130,6 @@ def _num_qubits_of(dim: int) -> int:
 # Index pieces that keep every axis, so each indexed slice is a view.
 _ALL = slice(None)
 _BIT = (slice(0, 1), slice(1, 2))
-
-# Phase each diagonal gate puts on its all-ones slice; the rest is untouched.
-_ONES_PHASE: dict[Gate, complex] = {
-    Gate.Z: -1,
-    Gate.S: 1j,
-    Gate.SDG: -1j,
-    Gate.CZ: -1,
-    Gate.CS: 1j,
-    Gate.CCZ: -1,
-}
 
 # A one-qubit gate whose trailing block (the amplitudes right of its wire,
 # batch included) holds at most _GEMM_MAX_RIGHT entries, on an array of at

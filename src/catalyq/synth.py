@@ -104,7 +104,10 @@ def euler_xyx(u: np.ndarray) -> EulerXYX:
     return EulerXYX(phi, -theta, lam, ph)
 
 
-_NAMED_1Q = (Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG)
+_NAMED_SU2 = tuple(  # I (as None), then the named gates; SU(2) form is unique up to sign
+    (g, _su2_parts(np.eye(2) if g is None else gate_matrix(GateKind(g)))[0])
+    for g in (None, Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG)
+)
 _ANGLE_EPS = 1e-12
 
 
@@ -123,13 +126,10 @@ def _rot(gate: Gate, angle: float, qubit: int) -> list[GateApp]:
 
 def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
     """Shortest-form emission of a single-qubit unitary, up to global phase."""
-    eye = np.eye(2)
-    if phase_aligned_distance(u, eye) <= 1e-12:
-        return []
-    for g in _NAMED_1Q:
-        if phase_aligned_distance(u, gate_matrix(GateKind(g))) <= 1e-12:
-            return [GateApp(GateKind(g), (qubit,))]
     su, _ = _su2_parts(u)
+    for g, named in _NAMED_SU2:
+        if np.abs(su - named).max() <= 1e-12 or np.abs(su + named).max() <= 1e-12:
+            return [] if g is None else [GateApp(GateKind(g), (qubit,))]
     a, b = su[0, 0], su[0, 1]
     if abs(a.imag) <= _FAMILY_EPS and abs(b.real) <= _FAMILY_EPS:
         return _rot(Gate.RX, 2.0 * math.atan2(-b.imag, a.real), qubit)

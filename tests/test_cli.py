@@ -401,11 +401,13 @@ def test_simulate_unknown_token(tmp_path, capsys):
 
 def test_simulate_too_wide_fails_before_allocating(tmp_path, capsys, refuse_big_arrays):
     src = tmp_path / "wide.txt"
-    src.write_text("qubits 30\nH 0\n")
-    code, payload, _ = run_json(["simulate", str(src)], capsys)
-    assert code == 1
-    assert payload["ok"] is False
-    assert "capped at 24 qubits, got 30" in payload["error"]
+    # The second width does not even fit a list index.
+    for width in (30, 99999999999999999999):
+        src.write_text(f"qubits {width}\nH 0\n")
+        code, payload, _ = run_json(["simulate", str(src)], capsys)
+        assert code == 1
+        assert payload["ok"] is False
+        assert f"capped at 24 qubits, got {width}" in payload["error"]
 
 
 def test_memory_error_becomes_json_failure(tmp_path, capsys, monkeypatch):

@@ -274,10 +274,10 @@ def test_accept_reject_every_gate_every_profile(gate, name):
 
 
 @st.composite
-def source_circuits(draw, max_wires=3, max_gates=8):
+def source_circuits(draw, max_wires=3, max_gates=8, tags=tuple(Gate)):
     n = draw(st.integers(1, max_wires))
     apps = []
-    pool = [g for g in Gate if g.arity <= n]
+    pool = [g for g in tags if g.arity <= n]
     for gate in draw(st.lists(st.sampled_from(pool), max_size=max_gates)):
         qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
         angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if gate.takes_angle else None
@@ -320,6 +320,38 @@ def test_counts_match_the_emitted_circuit(src):
         assert low.counts[Gate.CCZ] == law
 
 
+@settings(max_examples=60, deadline=None)
+@given(source_circuits(max_wires=4, max_gates=16, tags=SOURCE_TAGS))
+def test_each_source_gate_lowers_to_one_span_after_the_prep(src):
+    # With an ancilla, the output is its one X prep and then, in source
+    # order, one span per source gate: that gate's own one-gate lowering
+    # minus its prep, on the gate's operands, the catalyst and the ancilla.
+    for profile in PROFILES.values():
+        try:
+            low = lower(src, profile)
+        except LoweringError:
+            continue
+        if not low.ancilla_qubits:
+            continue
+        ((anc, _),) = low.ancilla_qubits
+        gates = low.circuit.gates
+        assert gates[0] == x(anc)
+        assert x(anc) not in gates[1:]
+        at = 1
+        for app in src.gates:
+            alone = lower(Circuit(src.num_qubits, (app,)), profile)
+            rename = {q: q for q in range(src.num_qubits)}
+            rename[alone.catalyst_qubit] = low.catalyst_qubit
+            rename.update((a, anc) for a, _ in alone.ancilla_qubits)
+            own = alone.circuit.gates[len(alone.ancilla_qubits) :]
+            span = gates[at : at + len(own)]
+            assert len(span) == len(own)
+            assert span == tuple(GateApp(g.kind, tuple(rename[q] for q in g.qubits)) for g in own)
+            assert {q for g in span for q in g.qubits} <= {*app.qubits, low.catalyst_qubit, anc}
+            at += len(own)
+        assert at == len(gates)
+
+
 # --- lowered output pinned byte for byte ---
 
 def _every_gate(order):
@@ -334,7 +366,8 @@ def _every_gate(order):
 GOLDEN_SOURCES = {
     "every_gate": _every_gate(list(Gate)),
     "every_gate_reversed": _every_gate(list(reversed(Gate))),
-    # The ancilla prep lands between RZ's leading H and its first S gadget.
+    # RZ's expansion names the ancilla, so the output opens with its X prep,
+    # ahead of RZ's whole span, leading H included.
     "rz_first": Circuit(3, (rz(0.5, 1), s(0), cz(0, 2), cs(1, 2), rz(-0.5, 2))),
     "mix_short": random_circuit(np.random.default_rng(4242), 3, 300, tags=SOURCE_TAGS),
     "mix_long": random_circuit(np.random.default_rng(4343), 5, 2200, tags=SOURCE_TAGS),
@@ -346,15 +379,15 @@ GOLDEN_SOURCES = {
 # sha256 of serialize_circuit, then rule_instances of S, CS and CZ.
 GOLDEN_LOWERINGS = {
     ("every_gate", "REAL_O2_CCZ"): (
-        "1fc1cfcb4786c2417acbd6b0c3445ab8ca403579e8bf97f3659d9a63972cc7c4", 12, 1, 1),
+        "057c193f58b8368d3b7f976df5be5c2d7d43d226282788b8ef7daad48c771fd3", 12, 1, 1),
     ("every_gate_reversed", "REAL_O2_CCZ"): (
-        "4d115c0e655f5d30c62ffa5f223cbd48dc87d48187ff617eaaefb68895899b55", 12, 1, 1),
+        "867405c6f7d35966a9a31fef3c4891c83a42c3a0099d91c7932dadc79b48e31c", 12, 1, 1),
     ("rz_first", "REAL_O2_CCZ"): (
-        "a7e6c3bfebeb8c75653fb1a6c3be2642fb7223fe2c164162b23a60daaba8e113", 9, 1, 1),
+        "7b2f58a9802f84ccd0e6c85b2891c7251f49746a240182ae6e2c35b1addb2990", 9, 1, 1),
     ("mix_short", "REAL_O2_CCZ"): (
-        "9bed1ee7eae065a8e22be415f65f4bc1aed3f21ebc63847a32fea92b8413d6c6", 475, 40, 28),
+        "ba05b7518d9ee181d198262477b24268e7f7af776ba0fb82222cef2300cf549d", 475, 40, 28),
     ("mix_long", "REAL_O2_CCZ"): (
-        "2924bf2e99358cc7a25e478e8c22c9d07d6666f344249c75054fceaf299d7a21", 3264, 281, 297),
+        "2402f1603d2cf8a77ea53156a5680cc300976fb5b8a8ee3fe7d0256f473d040a", 3264, 281, 297),
     ("hccz_mix", "REAL_O2_CCZ"): (
         "bc944ef8031727c4984436575e291cca0afc8d2cc0f78d691763c038d00cbda1", 0, 115, 0),
     ("hccz_mix", "HCCZ"): (

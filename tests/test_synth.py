@@ -129,6 +129,16 @@ def test_decompose_rejects_bad_dimensions():
         decompose_su2m(np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("gate", [None, Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG])
+def test_named_one_qubit_block_emits_just_that_gate(gate):
+    # At any global phase, I (None) emits nothing and a named gate itself.
+    u = np.eye(2) if gate is None else gate_matrix(GateKind(gate))
+    want = [] if gate is None else [(GateKind(gate), (1,))]
+    for phase in (0.0, 0.4, math.pi / 2, math.pi, -2.3):
+        emitted = synth._emit_1q(np.exp(1j * phase) * u, 1)
+        assert [(app.kind, app.qubits) for app in emitted] == want
+
+
 # --- synthesize ---
 
 def test_synthesize_s_gate_budget():
