@@ -31,6 +31,10 @@ _CS = gate_matrix(GateKind(Gate.CS))
 _BITS = (KET_0, KET_1)
 # Largest ``PrepCheck.max_error`` that ``verify_one_prep`` passes.
 PREP_TOL = 1e-10
+# Below this magnitude ``verify_one_prep`` has no phase to align on and takes 1.
+_PHASE_GUARD = 1e-12
+# Largest shortfall of |<-i| H |+i>| from 1 that ``catalyst_flip_check`` passes.
+FLIP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def verify_one_prep(c: Circuit, target_qubit: int) -> PrepCheck:
     cols = evolve_columns(c, {target_qubit: KET_0})
     dim = cols.shape[-1]
     zero, one = (project(cols, {target_qubit: k}).reshape(dim, dim) for k in _BITS)
-    lam = one[0, 0] / abs(one[0, 0]) if abs(one[0, 0]) > 1e-12 else 1.0
+    lam = one[0, 0] / abs(one[0, 0]) if abs(one[0, 0]) > _PHASE_GUARD else 1.0
     miss = np.stack([zero, one - lam * np.eye(dim)])  # (target bit, bystanders, input)
     max_error = float(np.linalg.norm(miss, axis=(0, 1)).max())
     return PrepCheck(
@@ -210,4 +214,4 @@ def catalyst_flip_check() -> FlipCheck:
     """Confirm |<-i| H |+i>| = 1 and report the quotiented phase."""
     out = gate_matrix(GateKind(Gate.H)) @ KET_PLUS_I
     overlap = complex(np.vdot(KET_MINUS_I, out))
-    return FlipCheck(ok=abs(abs(overlap) - 1.0) <= 1e-13, phase=float(np.angle(overlap)))
+    return FlipCheck(ok=abs(abs(overlap) - 1.0) <= FLIP_TOL, phase=float(np.angle(overlap)))

@@ -15,11 +15,26 @@ is allocated.
 ``evolve_columns`` starts from one basis column per input of the free wires,
 with each fixed wire fed its ket and the columns as a trailing batch axis
 (``circuit_unitary`` is the case with nothing fixed). Both share one gate
-loop, ``_evolve``: up to ``_FUSE_MAX_QUBITS`` wires each maximal run of two
-or more angle-free gates is one product with its 2^n x 2^n operator, built
-once and kept read-only by ``_fused``, an LRU cache keyed by the width and
-the run's (tag, wires) pairs. Angles are never in a key, so the cache cannot
-grow with them. Other gates, and all gates on wider arrays, go through the
+loop, ``_evolve``, which fuses gates by one of two rules:
+
+- up to ``_FUSE_MAX_QUBITS`` (5) wires, each maximal run of two or more
+  angle-free gates is one product with its 2^n x 2^n operator; angled gates
+  cut the runs;
+- on wider arrays, each maximal run of gates whose wires number at most
+  ``_FUSE_LOCAL_QUBITS`` (3, the wires of one lowered span) is one product
+  with its 2^k x 2^k operator on the k wires moved to the front. The moved
+  copy is the only new array: the product is written back into the state's
+  own memory.
+
+Angle-free operators are built once and kept read-only by ``_fused``, an LRU
+cache keyed by the width and the run's (tag, wires) pairs, wires relative to
+the run's; an operator with an angled gate is built afresh. Angles are never
+in a key, so the cache cannot grow with them. The two rules stay apart
+because the second would slow synthesis, whose lowerings are at most 5 wires
+wide: one m = 3 target took 7 ms with the first and 23 ms with the second.
+Runs of one gate, the angled gates that cut runs, and on wider arrays runs
+of only the phase gates below (Z, S, SDG, CZ, CS, CCZ), so that the
+amplitudes they leave alone stay bit-identical, go gate by gate through the
 kernel ``_apply``, which never builds the gate's embedding:
 
 - diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
@@ -56,6 +71,8 @@ MAX_DENSE_QUBITS = 12
 MAX_STATE_QUBITS = 24
 # Default bound on a catalytic factoring's residual and non-unitarity.
 CATALYTIC_TOL = 1e-12
+# Largest | ||ket|| - 1 | of a catalyst ket that ``extract_catalytic`` accepts.
+KET_NORM_TOL = 1e-12
 
 # Single-qubit kets by wire.
 Kets = dict[int, np.ndarray]
@@ -192,31 +209,42 @@ def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
     return psi
 
 
-# At the cap a fused operator is 32x32 complex (16 KiB), so the cache holds
-# 4 MiB at most. A miss builds it on all 2^n columns, which costs more than
-# the run; synthesis, whose run shapes recur, stays within the cap.
+# Up to _FUSE_MAX_QUBITS wires a fused operator spans the whole state: at the
+# cap it is 32x32 complex (16 KiB), so the cache holds 4 MiB at most. A miss
+# builds it on all 2^n columns, which costs more than the run; synthesis,
+# whose run shapes recur, stays within the cap. On wider states a fused
+# operator spans at most _FUSE_LOCAL_QUBITS wires, the three of a lowered
+# span (data wire, catalyst, ancilla).
 _FUSE_MAX_QUBITS = 5
+_FUSE_LOCAL_QUBITS = 3
 _FUSE_CACHE_SIZE = 256
+
+
+def _operator(n: int, apps) -> np.ndarray:
+    """The 2^n x 2^n operator of ``apps``, all on wires below n."""
+    dim = 1 << n
+    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for app in apps:
+        op = _apply(op, app)
+    return op.reshape(dim, dim)
 
 
 @functools.lru_cache(maxsize=_FUSE_CACHE_SIZE)
 def _fused(n: int, run: tuple[tuple[Gate, tuple[int, ...]], ...]) -> np.ndarray:
     """The read-only 2^n x 2^n operator of angle-free (tag, wires) pairs."""
-    dim = 1 << n
-    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for gate, qubits in run:
-        op = _apply(op, GateApp(GateKind(gate), qubits))
-    op = np.ascontiguousarray(op.reshape(dim, dim))
+    op = np.ascontiguousarray(_operator(n, (GateApp(GateKind(g), q) for g, q in run)))
     op.flags.writeable = False
     return op
 
 
 def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
-    """Apply ``gates`` in order to ``psi``, shaped as for ``_apply``."""
+    """Apply ``gates`` in order to ``psi``, shaped as for ``_apply``.
+
+    ``psi`` belongs to the caller's pass, which hands it over: it is
+    overwritten, and the result may live in its memory.
+    """
     if n > _FUSE_MAX_QUBITS:
-        for app in gates:
-            psi = _apply(psi, app)
-        return psi
+        return _evolve_local(psi, gates)
     run: list[GateApp] = []
     for app in gates:
         if app.kind.angle is None:
@@ -234,6 +262,49 @@ def _apply_run(psi: np.ndarray, run: list[GateApp], n: int) -> np.ndarray:
         op = _fused(n, tuple((app.kind.gate, app.qubits) for app in run))
         psi = (op @ psi.reshape(1 << n, -1)).reshape(psi.shape)
     return psi
+
+
+def _evolve_local(psi: np.ndarray, gates: tuple[GateApp, ...]) -> np.ndarray:
+    """``_evolve`` past the whole-state cap: each maximal run of gates on at
+    most ``_FUSE_LOCAL_QUBITS`` wires is one product with its 2^k operator."""
+    run: list[GateApp] = []
+    wires: set[int] = set()
+    for app in gates:
+        union = wires.union(app.qubits)
+        if len(union) > _FUSE_LOCAL_QUBITS:
+            psi = _apply_local(psi, run, sorted(wires))
+            run, union = [], set(app.qubits)
+        run.append(app)
+        wires = union
+    return _apply_local(psi, run, sorted(wires))
+
+
+def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.ndarray:
+    """``run``, acting on ``wires`` only, applied to ``psi``.
+
+    One gate, or a run of only phase gates, goes through ``_apply``.
+    Otherwise the run's operator comes from ``_fused`` if no gate has an
+    angle and is built afresh if one has, and multiplies a copy of ``psi``
+    with ``wires`` moved to the front. The product goes back into the memory
+    under ``psi`` (``psi`` itself, or the array it is a view of, which holds
+    exactly the state), and the result is that memory viewed with the wires
+    moved back.
+    """
+    if len(run) == 1 or all(app.kind.gate in _ONES_PHASE for app in run):
+        for app in run:
+            psi = _apply(psi, app)
+        return psi
+    k = len(wires)
+    pos = {w: i for i, w in enumerate(wires)}
+    if all(app.kind.angle is None for app in run):
+        op = _fused(k, tuple((app.kind.gate, tuple(map(pos.get, app.qubits))) for app in run))
+    else:
+        op = _operator(k, (GateApp(app.kind, tuple(map(pos.get, app.qubits))) for app in run))
+    moved = np.moveaxis(psi, wires, range(k))
+    cols = moved.copy().reshape(1 << k, -1)
+    own = psi if psi.base is None else psi.base
+    np.matmul(op, cols, out=own.reshape(cols.shape, copy=False))
+    return np.moveaxis(own.reshape(moved.shape, copy=False), range(k), wires)
 
 
 def _check_state_width(num_qubits: int) -> None:
@@ -447,7 +518,7 @@ def extract_catalytic(
     if not 0 <= catalyst_qubit < n:
         raise ValueError(f"catalyst qubit {catalyst_qubit} out of range")
     cat = np.asarray(catalyst_state, dtype=complex)
-    if cat.shape != (2,) or abs(np.linalg.norm(cat) - 1.0) > 1e-12:
+    if cat.shape != (2,) or abs(np.linalg.norm(cat) - 1.0) > KET_NORM_TOL:
         raise ValueError("catalyst state must be a normalized single-qubit vector")
     t = np.asarray(u, dtype=complex).reshape((2,) * (2 * n))
     cols = np.tensordot(t, cat, axes=([n + catalyst_qubit], [0]))

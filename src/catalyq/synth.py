@@ -41,6 +41,8 @@ _FAMILY_EPS = 1e-13
 VERIFY_TOL = 1e-8
 # Largest ||u^dag u - I||_F an input matrix may show.
 UNITARY_TOL = 1e-10
+# Largest phase-aligned distance of ``decompose_su2m``'s circuit from its input.
+DECOMPOSE_TOL = 1e-9
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -109,6 +111,8 @@ _NAMED_SU2 = tuple(  # I (as None), then the named gates; SU(2) form is unique u
     for g in (None, Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG)
 )
 _ANGLE_EPS = 1e-12
+# Largest entrywise gap at which an SU(2) block is emitted as a named gate.
+_NAMED_EPS = 1e-12
 
 
 def _wrap_pi(angle: float) -> float:
@@ -128,7 +132,7 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
     """Shortest-form emission of a single-qubit unitary, up to global phase."""
     su, _ = _su2_parts(u)
     for g, named in _NAMED_SU2:
-        if np.abs(su - named).max() <= 1e-12 or np.abs(su + named).max() <= 1e-12:
+        if np.abs(su - named).max() <= _NAMED_EPS or np.abs(su + named).max() <= _NAMED_EPS:
             return [] if g is None else [GateApp(GateKind(g), (qubit,))]
     a, b = su[0, 0], su[0, 1]
     if abs(a.imag) <= _FAMILY_EPS and abs(b.real) <= _FAMILY_EPS:
@@ -194,7 +198,7 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[GateApp]:
 def decompose_su2m(u: np.ndarray) -> Circuit:
     """Decompose a 2^m x 2^m unitary (m in {1,2,3}) over 1q gates plus CZ.
 
-    Self-checks the reconstruction to phase-aligned distance 1e-9.
+    Self-checks the reconstruction to phase-aligned distance ``DECOMPOSE_TOL``.
     """
     u = _check_unitary(u)
     dim = u.shape[0]
@@ -203,7 +207,7 @@ def decompose_su2m(u: np.ndarray) -> Circuit:
         raise SynthesisError(f"dimension {dim} is not 2^m with m in 1..3")
     circuit = Circuit(m, tuple(_qsd(u, list(range(m)))))
     dist = phase_aligned_distance(circuit_unitary(circuit), u)
-    if not dist <= 1e-9:
+    if not dist <= DECOMPOSE_TOL:
         raise SynthesisError(f"decomposition self-check failed (distance {dist:.3e})")
     return circuit
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -76,8 +77,20 @@ def test_verify_json_shape(capsys):
     expected = {
         "theta_steps", "tol", "max_rz_error", "s_gadget_error",
         "cs_gadget_error", "catalyst_flip_error", "catalyst_flip_phase",
+        "rule_lemma_error",
     }
     assert set(payload["metrics"]) == expected
+    assert payload["metrics"]["max_rz_error"] <= 1e-12
+    assert payload["metrics"]["rule_lemma_error"] <= 1e-12
+
+
+def test_verify_fails_on_a_broken_rule_table(monkeypatch, capsys):
+    # The gadgets still hold; only the rule table as lower ships it is off.
+    monkeypatch.setattr(cli, "check_lemmas", lambda: 1.0)
+    code, payload, _ = run_json(["verify", "--theta-steps", "4"], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["metrics"]["rule_lemma_error"] == 1.0
     assert payload["metrics"]["max_rz_error"] <= 1e-12
 
 
@@ -177,13 +190,25 @@ def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys, refuse_big_arrays):
     assert parse_circuit(out_file.read_text()).num_qubits == 13
 
 
+def mask_timings(out):
+    """``lower --json`` output with each stage time replaced by a marker."""
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"lower", "verify"}
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    block = re.search(r'"timings": \{[^}]*\}', out)
+    masked = re.sub(r'(": )[-+.\deE]+', r"\1T", block.group())
+    return out[: block.start()] + masked + out[block.end() :]
+
+
 def test_lower_output_is_byte_stable(tmp_path, capsys):
+    # Everything but the measured stage times repeats byte for byte.
     src = tmp_path / "cs.txt"
     src.write_text(CS_TEXT)
     argv = ["lower", str(src), "--target", "HCCZ", "--json"]
-    first = run_cli(argv, capsys)
-    second = run_cli(argv, capsys)
-    assert first == second
+    code, out, err = run_cli(argv, capsys)
+    again = run_cli(argv, capsys)
+    assert (code, mask_timings(out), err) == (again[0], mask_timings(again[1]), again[2])
+    assert '"lower": T' in mask_timings(out)
 
 
 # --- synthesize ---

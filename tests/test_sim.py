@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalyq import sim
 from catalyq.gadgets import cs_gadget
 from catalyq.ir import (
     HCCZ,
@@ -25,7 +26,9 @@ from catalyq.ir import (
     cz,
     h,
     parse_circuit,
+    s,
 )
+from catalyq.lowering import lower
 from catalyq.sim import (
     KET_0,
     KET_1,
@@ -33,6 +36,7 @@ from catalyq.sim import (
     KET_PLUS_I,
     MAX_DENSE_QUBITS,
     MAX_STATE_QUBITS,
+    _FUSE_LOCAL_QUBITS,
     _FUSE_MAX_QUBITS,
     _apply,
     _fused,
@@ -390,6 +394,93 @@ def test_cached_operator_is_read_only():
         op[0, 0] = 0.0
 
 
+# --- k-local fusion past the whole-state cap ---
+
+# Every lowerable source gate, so the lowered spans (data wire, catalyst,
+# ancilla) hold RY inside fused runs, as in a simulate_wide item.
+WIDE_SOURCE_GATES = ("H", "X", "Z", "S", "SDG", "RX", "RY", "RZ", "CZ", "CS", "CCZ")
+WIDE_ARITY = {"CZ": 2, "CS": 2, "CCZ": 3}
+
+
+def wide_lowered(rng, data, copies=2):
+    """A seeded source on ``data`` wires, lowered onto {H, X, Z, RY, CCZ}."""
+    names = rng.permutation(np.repeat(np.array(WIDE_SOURCE_GATES), copies))
+    lines = [f"qubits {data}"]
+    for name in names.tolist():
+        wires = rng.choice(data, size=WIDE_ARITY.get(name, 1), replace=False)
+        head = f"{name}({rng.uniform(-math.pi, math.pi)!r})" if name in ("RX", "RY", "RZ") else name
+        lines.append(" ".join([head, *map(str, wires.tolist())]))
+    return lower(parse_circuit("\n".join(lines)), REAL_O2_CCZ).circuit
+
+
+def per_gate(c, state):
+    psi = np.array(state).reshape([2] * c.num_qubits)
+    for app in c.gates:
+        psi = _apply(psi, app)
+    return psi.reshape(-1)
+
+
+def test_local_fusion_matches_the_per_gate_loop_on_wide_states(monkeypatch):
+    rng = np.random.default_rng(2026)
+    built = []
+    operator = sim._operator
+
+    def recording(n, apps):
+        built.append(list(apps))
+        return operator(n, built[-1])
+
+    monkeypatch.setattr(sim, "_operator", recording)
+    for data in (12, 14, 16):
+        c = wide_lowered(rng, data)
+        n = c.num_qubits
+        assert n == data + 2 > _FUSE_MAX_QUBITS
+        state = random_state(n, int(rng.integers(2**32))).reshape(-1)
+        assert np.abs(run(c, state) - per_gate(c, state)).max() <= 1e-12
+    # Runs with an RY among other gates were fused, each on at most k wires.
+    angled = [apps for apps in built if any(a.kind.angle is not None for a in apps)]
+    assert any(len(apps) > 1 for apps in angled)
+    assert all(max(q for a in apps for q in a.qubits) < _FUSE_LOCAL_QUBITS for apps in built)
+
+
+def test_run_leaves_a_wide_input_unchanged():
+    c = wide_lowered(np.random.default_rng(18), 16)
+    state = random_state(18, 18).reshape(-1)
+    kept = state.copy()
+    out = run(c, state)
+    assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
+    assert not np.shares_memory(out, state)
+
+
+def test_angles_never_enter_the_local_cache():
+    first = wide_lowered(np.random.default_rng(5), 8)
+    again = Circuit(first.num_qubits, tuple(
+        GateApp(GateKind(app.kind.gate, app.kind.angle + 0.25), app.qubits)
+        if app.kind.angle is not None else app
+        for app in first.gates
+    ))
+    state = random_state(first.num_qubits, 1).reshape(-1)
+    _fused.cache_clear()
+    run(first, state)
+    size = _fused.cache_info().currsize
+    assert size > 0
+    run(again, state)
+    assert _fused.cache_info().currsize == size
+
+
+def test_wide_diagonal_run_touches_only_its_all_ones_slice(monkeypatch):
+    # One run on wires 2, 5, 6 of 7, every gate phasing only where bit 2 is 1;
+    # it is phased in place, never multiplied by a fused operator.
+    n = 7
+    c = circuit_of(n, s(2), cz(2, 5), ccz(2, 5, 6), s(2))
+    psi = random_state(n, 3).reshape(-1)
+    for name in ("_fused", "_operator"):
+        monkeypatch.setattr(sim, name, lambda *args: pytest.fail("diagonal run was fused"))
+    got = run(c, psi)
+    untouched = ((np.arange(1 << n) >> (n - 1 - 2)) & 1) == 0
+    assert np.array_equal(got[untouched].view(np.uint64), psi[untouched].view(np.uint64))
+    assert np.abs(got - oracle_unitary(c) @ psi).max() <= 1e-12
+
+
 # --- width caps ---
 
 def test_state_width_cap_is_checked_before_allocating(refuse_big_arrays):
@@ -400,6 +491,9 @@ def test_state_width_cap_is_checked_before_allocating(refuse_big_arrays):
         basis_state(too_wide, 0)
     with pytest.raises(ValueError, match="statevector capped"):
         run(Circuit(too_wide), KET_0.copy())
+    fusable = circuit_of(too_wide, h(0), ccz(0, 1, 2), h(2), cz(1, 2))
+    with pytest.raises(ValueError, match="statevector capped"):
+        run(fusable, KET_0.copy())
 
 
 def test_column_pass_width_cap_is_checked_before_allocating(refuse_big_arrays):
@@ -408,6 +502,9 @@ def test_column_pass_width_cap_is_checked_before_allocating(refuse_big_arrays):
         evolve_columns(too_wide, {MAX_DENSE_QUBITS: KET_PLUS_I})
     with pytest.raises(ValueError, match="capped at 12 qubits, got 13"):
         circuit_unitary(too_wide)
+    fusable = circuit_of(MAX_DENSE_QUBITS + 1, h(0), ccz(0, 1, 2), h(2), cz(1, 2))
+    with pytest.raises(ValueError, match="capped at 12 qubits, got 13"):
+        evolve_columns(fusable, {0: KET_PLUS_I})
 
 
 # --- evolve_columns ---
