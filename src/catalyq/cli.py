@@ -104,10 +104,11 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_lower(args: argparse.Namespace) -> RunReport:
-    source = _read_circuit(args.circuit)
     t0 = time.perf_counter()
-    lowered = lower(source, PROFILES[args.target])
+    source = _read_circuit(args.circuit)
     t1 = time.perf_counter()
+    lowered = lower(source, PROFILES[args.target])
+    t2 = time.perf_counter()
     report = count_report(lowered)
     n_low = lowered.circuit.num_qubits
     metrics: dict[str, float] = {
@@ -128,12 +129,15 @@ def cmd_lower(args: argparse.Namespace) -> RunReport:
         metrics["catalyst_deficit"] = check.catalyst_deficit
         metrics["leakage"] = check.leakage
         metrics["verify_skipped"] = 0.0
-    timings = {"lower": t1 - t0, "verify": time.perf_counter() - t1}
+    t3 = time.perf_counter()
+    timings = {"parse": t1 - t0, "lower": t2 - t1, "verify": t3 - t2}
     method = None if metrics["verify_skipped"] else VERIFY_METHOD
     artifacts = []
     if args.out:
+        text = serialize_circuit(lowered.circuit)
+        timings["serialize"] = time.perf_counter() - t3
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_circuit(lowered.circuit) + "\n")
+            fh.write(text + "\n")
         artifacts.append(args.out)
     rep = RunReport(
         command="lower",

@@ -3,7 +3,12 @@
 A circuit is an ordered list of gate applications over ``num_qubits`` wires.
 List order is execution order: ``gates[0]`` acts first. Gate applications
 are immutable, so a circuit may hold the same ``GateApp`` object at several
-positions; ``parse_circuit`` and ``lower`` share one object per distinct gate.
+positions: ``parse_circuit`` shares one object per distinct angle-free gate
+line and ``lower`` one per angle-free (tag, wires) it emits, while each
+angled gate is its own object. Whole-circuit passes loop in C: ``Circuit``
+checks its width over each gate's recorded ``top`` operand and
+``check_membership`` looks only at tags unless one is barred;
+``serialize_circuit`` formats each object once.
 
 Text format (one gate per line, ``#`` starts a comment, blank lines ignored)::
 
@@ -78,10 +83,16 @@ class GateKind:
 
 @dataclass(frozen=True)
 class GateApp:
-    """A gate kind applied to a tuple of distinct wire indices."""
+    """A gate kind applied to a tuple of distinct wire indices.
+
+    ``top`` is the largest operand, recorded once so that whole-circuit width
+    checks read it instead of scanning ``qubits``; ``==``, ``hash`` and
+    ``repr`` ignore it.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -94,6 +105,11 @@ class GateApp:
             raise CircuitError("operand indices must be non-negative")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"duplicate operands in {self.kind.gate.value} {self.qubits}")
+        object.__setattr__(self, "top", max(self.qubits))
+
+
+# A gate application's tag; whole-circuit passes ``map`` it, looping in C.
+tag_of = attrgetter("kind.gate")
 
 
 @dataclass(frozen=True)
@@ -105,12 +121,12 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise CircuitError("num_qubits must be positive")
-        if max(map(max, map(attrgetter("qubits"), self.gates)), default=0) < self.num_qubits:
+        if max(map(attrgetter("top"), self.gates), default=0) < self.num_qubits:
             return
         for i, g in enumerate(self.gates):
-            if max(g.qubits) >= self.num_qubits:
+            if g.top >= self.num_qubits:
                 raise CircuitError(
-                    f"gate {i} ({g.kind.gate.value}) uses qubit {max(g.qubits)} "
+                    f"gate {i} ({g.kind.gate.value}) uses qubit {g.top} "
                     f"but circuit has {self.num_qubits}"
                 )
 
@@ -178,12 +194,10 @@ class Violation:
 
 def check_membership(c: Circuit, profile: GateSetProfile) -> list[Violation]:
     """Return all gates of ``c`` not admitted by ``profile`` (empty = member)."""
-    barred = tuple(g for g in Gate if not profile.admits(g))
-    return [
-        Violation(i, g.kind.gate)
-        for i, g in enumerate(c.gates)
-        if g.kind.gate in barred
-    ]
+    barred = frozenset(g for g in Gate if not profile.admits(g))
+    if barred.isdisjoint(map(tag_of, c.gates)):
+        return []
+    return [Violation(i, g) for i, g in enumerate(map(tag_of, c.gates)) if g in barred]
 
 
 def gate_counts(c: Circuit) -> dict[Gate, int]:

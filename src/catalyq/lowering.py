@@ -54,6 +54,7 @@ from .ir import (
     GateKind,
     GateSetProfile,
     check_membership,
+    tag_of,
     x,
 )
 from . import sim
@@ -158,10 +159,11 @@ def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
 def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
     """Rewrite ``c`` into ``target``; raises LoweringError if any gate can't go.
 
-    Each angle-free emitted gate is built once per (source tag, operands) and
-    shared by every source gate that repeats it; angled ones are built fresh.
+    Each angle-free emitted gate is built once per (tag, wires) for the whole
+    call and shared by every span that emits it, whatever the source gate;
+    angled ones are built fresh, one per source gate.
     """
-    kinds = Counter(app.kind.gate for app in c.gates)
+    kinds = Counter(map(tag_of, c.gates))
     plans = {gate: _plan(gate, target) for gate in kinds}
     for gate, plan in plans.items():
         if plan is None:
@@ -174,7 +176,16 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
 
     # The ancilla's one X prep comes first; after it each source gate is one span.
     gates: list[GateApp] = [x(anc)] if need_anc else []
+    # One object per angle-free (tag, wires), and one span per (tag, operands).
+    made: dict[tuple[Gate, tuple[int, ...]], GateApp] = {}
     built: dict[tuple[Gate, tuple[int, ...]], list[GateApp | None]] = {}
+
+    def made_once(kind: GateKind, wires: tuple[int, ...]) -> GateApp:
+        app = made.get((kind.gate, wires))
+        if app is None:
+            app = made[kind.gate, wires] = GateApp(kind, wires)
+        return app
+
     for app in c.gates:
         plan = plans[app.kind.gate]
         if not plan.fired:
@@ -186,7 +197,7 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
         if shared is None:
             # None holds the place of each angled gate, filled in below.
             shared = built[key] = [
-                None if kind is None else GateApp(kind, tuple(frame[w] for w in ws))
+                None if kind is None else made_once(kind, tuple(frame[w] for w in ws))
                 for _, kind, ws in plan.gates
             ]
         at = len(gates)

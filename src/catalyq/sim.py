@@ -43,13 +43,14 @@ kernel ``_apply``, which never builds the gate's embedding:
 - X swaps its two slices in place;
 - H, Y, RX and RY multiply their 2x2 matrix into the (left, 2, right)
   reshape as one batched product, written to a new array that replaces the
-  state;
+  state; a permuted view, as a wide fused run leaves the state, is taken in
+  its memory's axis order, so the reshape does not copy it;
 - CRY does the same one-qubit update on its control=1 slice, in place.
 
 On a large array whose trailing block ``right`` (amplitudes right of the
 target wire, batch included) is short, a one-qubit gate is one gemm against
 kron(m, I_right) instead. Which path a gate takes depends only on the array's
-shape.
+shape in memory order.
 
 ``induce`` reads the operator induced on the free wires off one column pass
 (``project`` fixes the output kets); ``catalytic_report`` factors such
@@ -183,7 +184,14 @@ def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
         target = psi[tuple(idx)]
         target[...] = _apply_1q(target, q, GateKind(Gate.RY, app.kind.angle))
         return psi
-    return _apply_1q(psi, app.qubits[0], app.kind)
+    if psi.flags.c_contiguous:
+        return _apply_1q(psi, app.qubits[0], app.kind)
+    # A permuted view, as ``_apply_local`` leaves: the reshapes in _apply_1q
+    # would copy it, so the gate runs on the axis it has in memory and the
+    # result is viewed back in the same axis order.
+    order = sorted(range(psi.ndim), key=psi.strides.__getitem__, reverse=True)
+    out = _apply_1q(psi.transpose(order), order.index(app.qubits[0]), app.kind)
+    return out.transpose(np.argsort(order))
 
 
 def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:

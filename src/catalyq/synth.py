@@ -15,6 +15,11 @@ ancilla, verified by dense simulation.
 Haar sampling is pinned for reproducibility: numpy ``default_rng(seed)``
 (PCG64), a Ginibre matrix (randn + i randn)/sqrt(2), QR, then the Q columns
 rephased by diag(R)/|diag(R)|; SU projection divides by det^(1/dim).
+
+scipy.linalg (Schur and cosine-sine factorizations) is imported by the
+recursion on its first use, not with the package: ``ir``, ``lowering`` and
+``sim`` never need it, and loading it would add about 0.25 s to every start
+and some 16k objects for each full garbage collection to walk.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin, schur
 
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz, h
 from .lowering import VERIFY_METHOD, LoweredCircuit, induce, lower
@@ -175,8 +179,10 @@ def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> 
     blk0 blk1^dag = V D^2 V^dag (Schur), W = D V^dag blk1, so the multiplexor
     equals (I (x) V) (D (+) D^dag) (I (x) W) with D diagonal.
     """
+    import scipy.linalg
+
     prod = blk0 @ blk1.conj().T
-    t_mat, v = schur(prod, output="complex")
+    t_mat, v = scipy.linalg.schur(prod, output="complex")
     lam = np.angle(np.diag(t_mat)) / 2.0
     w = (np.exp(1j * lam)[:, None] * v.conj().T) @ blk1
     return _qsd(w, rest) + _ucr(Gate.RZ, -2.0 * lam, rest, select) + _qsd(v, rest)
@@ -185,8 +191,10 @@ def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> 
 def _qsd(u: np.ndarray, qubits: list[int]) -> list[GateApp]:
     if len(qubits) == 1:
         return _emit_1q(u, qubits[0])
+    import scipy.linalg
+
     half = u.shape[0] // 2
-    (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
+    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
     select, rest = qubits[0], qubits[1:]
     return (
         _demux(v1h, v2h, select, rest)

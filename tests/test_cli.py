@@ -190,10 +190,11 @@ def test_lower_past_verify_cap_is_not_ok(tmp_path, capsys, refuse_big_arrays):
     assert parse_circuit(out_file.read_text()).num_qubits == 13
 
 
-def mask_timings(out):
-    """``lower --json`` output with each stage time replaced by a marker."""
+def mask_timings(out, stages):
+    """``lower --json`` output with each stage time replaced by a marker,
+    after checking that ``stages`` are exactly its timed stages, in order."""
     timings = json.loads(out)["timings"]
-    assert set(timings) == {"lower", "verify"}
+    assert list(timings) == stages
     assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
     block = re.search(r'"timings": \{[^}]*\}', out)
     masked = re.sub(r'(": )[-+.\deE]+', r"\1T", block.group())
@@ -201,14 +202,25 @@ def mask_timings(out):
 
 
 def test_lower_output_is_byte_stable(tmp_path, capsys):
-    # Everything but the measured stage times repeats byte for byte.
+    # Everything but the measured stage times repeats byte for byte; the
+    # serialize stage is timed only when the circuit is written out.
     src = tmp_path / "cs.txt"
     src.write_text(CS_TEXT)
+    out_file = tmp_path / "lowered.txt"
     argv = ["lower", str(src), "--target", "HCCZ", "--json"]
-    code, out, err = run_cli(argv, capsys)
-    again = run_cli(argv, capsys)
-    assert (code, mask_timings(out), err) == (again[0], mask_timings(again[1]), again[2])
-    assert '"lower": T' in mask_timings(out)
+    for extra, stages in (
+        ([], ["parse", "lower", "verify"]),
+        (["--out", str(out_file)], ["parse", "lower", "verify", "serialize"]),
+    ):
+        code, out, err = run_cli(argv + extra, capsys)
+        written = out_file.read_text() if extra else ""
+        again = run_cli(argv + extra, capsys)
+        assert (code, mask_timings(out, stages), err) == (
+            again[0], mask_timings(again[1], stages), again[2]
+        )
+        assert all(f'"{stage}": T' in mask_timings(out, stages) for stage in stages)
+        if extra:
+            assert out_file.read_text() == written
 
 
 # --- synthesize ---
@@ -473,3 +485,17 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == repr([expected] * 3)
+
+
+def test_import_leaves_scipy_linalg_to_synthesis():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = (
+        "import sys, catalyq\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "catalyq.decompose_su2m(catalyq.haar_su(4, 0))\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyq.ir import (
     FULL,
@@ -17,6 +19,7 @@ from catalyq.ir import (
     Gate,
     GateApp,
     GateKind,
+    GateSetProfile,
     Violation,
     ccz,
     check_membership,
@@ -163,6 +166,60 @@ def test_circuit_names_the_first_out_of_range_gate():
     with pytest.raises(CircuitError) as exc:
         Circuit(2, (h(0), cz(0, 3), ccz(0, 1, 7)))
     assert str(exc.value) == "gate 1 (CZ) uses qubit 3 but circuit has 2"
+
+
+def test_width_check_names_gate_k_among_ten_thousand_shared_gates():
+    shared = (h(0), ccz(0, 1, 2), cz(2, 1), ry(0.5, 1))
+    for k in (0, 4321, 9999):
+        gates = [shared[i % len(shared)] for i in range(10_000)]
+        gates[k] = cz(0, 5)
+        with pytest.raises(CircuitError) as exc:
+            Circuit(3, tuple(gates))
+        assert str(exc.value) == f"gate {k} (CZ) uses qubit 5 but circuit has 3"
+        assert Circuit(6, tuple(gates)).gates[k].top == 5
+
+
+def test_gate_app_equality_hash_and_repr_ignore_its_top_operand():
+    a = GateApp(GateKind(Gate.CZ), (3, 1))
+    b = GateApp(GateKind(Gate.CZ), [3, 1])
+    assert a.top == b.top == 3
+    object.__setattr__(b, "top", 99)
+    assert a == b and hash(a) == hash(b) == hash((a.kind, a.qubits))
+    assert repr(a) == repr(b) == (
+        "GateApp(kind=GateKind(gate=<Gate.CZ: 'CZ'>, angle=None), qubits=(3, 1))"
+    )
+    assert pickle.loads(pickle.dumps(a)).top == 3
+
+
+ALL_BUT_X = GateSetProfile("all but X", lambda g: g is not Gate.X)
+
+
+@st.composite
+def shared_circuits(draw):
+    # Gates drawn from a small pool, so that most objects recur.
+    n = draw(st.integers(1, 4))
+    tags = [g for g in Gate if g.arity <= n]
+    pool = []
+    for gate in draw(st.lists(st.sampled_from(tags), min_size=1, max_size=6)):
+        qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
+        angle = draw(st.floats(-4.0, 4.0)) if gate.takes_angle else None
+        pool.append(GateApp(GateKind(gate, angle), qubits))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return Circuit(n, tuple(pool[i] for i in picks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_circuits())
+def test_membership_and_counts_equal_a_per_gate_reference(c):
+    for profile in (*PROFILES.values(), ALL_BUT_X):
+        want = [
+            Violation(i, app.kind.gate)
+            for i, app in enumerate(c.gates)
+            if not profile.admits(app.kind.gate)
+        ]
+        assert check_membership(c, profile) == want
+    want = [(g, sum(app.kind.gate is g for app in c.gates)) for g in Gate]
+    assert list(gate_counts(c).items()) == want
 
 
 def test_gate_counts_empty_circuit_is_all_zero():

@@ -28,6 +28,7 @@ from catalyq.ir import (
     cz,
     gate_counts,
     h,
+    rx,
     ry,
     rz,
     s,
@@ -350,6 +351,35 @@ def test_each_source_gate_lowers_to_one_span_after_the_prep(src):
             assert {q for g in span for q in g.qubits} <= {*app.qubits, low.catalyst_qubit, anc}
             at += len(own)
         assert at == len(gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source_circuits(max_wires=4, max_gates=24))
+def test_lower_shares_angle_free_gates_and_builds_angled_ones_fresh(src):
+    # Among the gates ``lower`` builds (not passed through from the source),
+    # equal angle-free gates are one object, and each angled gate is its own.
+    passed = set(map(id, src.gates))
+    for profile in PROFILES.values():
+        try:
+            low = lower(src, profile)
+        except LoweringError:
+            continue
+        built = [app for app in low.circuit.gates if id(app) not in passed]
+        by_gate: dict[GateApp, set[int]] = {}
+        for app in built:
+            if app.kind.angle is None:
+                by_gate.setdefault(app, set()).add(id(app))
+        assert all(len(ids) == 1 for ids in by_gate.values())
+        angled = [id(app) for app in built if app.kind.angle is not None]
+        assert len(set(angled)) == len(angled)
+
+
+def test_lower_shares_a_gate_across_source_gates():
+    # RZ 0 and RX 0 each emit CCZ (ancilla, 0, catalyst) 8 times: one object.
+    low = lower(circuit_of(1, rz(0.3, 0), rx(0.2, 0)), REAL_O2_CCZ)
+    ((anc, _),) = low.ancilla_qubits
+    ccz_apps = [app for app in low.circuit.gates if app == ccz(anc, 0, low.catalyst_qubit)]
+    assert len(ccz_apps) == 16 and len(set(map(id, ccz_apps))) == 1
 
 
 # --- lowered output pinned byte for byte ---

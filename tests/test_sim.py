@@ -26,7 +26,10 @@ from catalyq.ir import (
     cz,
     h,
     parse_circuit,
+    rx,
+    ry,
     s,
+    y,
 )
 from catalyq.lowering import lower
 from catalyq.sim import (
@@ -449,6 +452,33 @@ def test_run_leaves_a_wide_input_unchanged():
     out = run(c, state)
     assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
     assert not np.shares_memory(out, state)
+
+
+def test_lone_one_qubit_gate_after_a_span_runs_on_the_state_in_place(monkeypatch):
+    # A fused span leaves the state as a permuted view; a lone H, Y, RX or RY
+    # after it must match the per-gate loop, on every wire, without the
+    # kernel copying that view into C order first.
+    seen = []
+    apply_1q = sim._apply_1q
+
+    def recording(psi, q, kind):
+        seen.append(psi.flags.c_contiguous)
+        return apply_1q(psi, q, kind)
+
+    monkeypatch.setattr(sim, "_apply_1q", recording)
+    rng = np.random.default_rng(14)
+    lone = (h, y, lambda q: rx(0.7, q), lambda q: ry(-1.1, q))
+    for n in (14, 16, 18):
+        state = random_state(n, n).reshape(-1)
+        kept = state.copy()
+        for q in range(n):
+            a, b, c, d, e, f = (int(w) for w in rng.permutation(np.delete(np.arange(n), q))[:6])
+            circuit = circuit_of(
+                n, h(b), ccz(a, b, c), h(c), lone[q % 4](q), ccz(d, e, f), h(e), h(f)
+            )
+            assert np.abs(run(circuit, state) - per_gate(circuit, state)).max() <= 1e-12
+        assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
+    assert seen and all(seen)
 
 
 def test_angles_never_enter_the_local_cache():
