@@ -15,23 +15,27 @@ is allocated.
 ``evolve_columns`` starts from one basis column per input of the free wires,
 with each fixed wire fed its ket and the columns as a trailing batch axis
 (``circuit_unitary`` is the case with nothing fixed). Both share one gate
-loop, ``_evolve``, which fuses gates by one of two rules:
+loop, ``_evolve``, which fuses gates by one of two rules; either way a fused
+operator spans at most ``_FUSE_QUBITS`` (5) wires:
 
-- up to ``_FUSE_MAX_QUBITS`` (5) wires, each maximal run of two or more
-  angle-free gates is one product with its 2^n x 2^n operator; angled gates
-  cut the runs;
-- on wider arrays, each maximal run of gates whose wires number at most
-  ``_FUSE_LOCAL_QUBITS`` (3, the wires of one lowered span) is one product
-  with its 2^k x 2^k operator on the k wires moved to the front. The moved
-  copy is the only new array: the product is written back into the state's
-  own memory.
+- up to 5 wires, each maximal run of two or more angle-free gates is one
+  product with its 2^n x 2^n operator; angled gates cut the runs;
+- on wider arrays, each maximal run of gates whose wires number at most 5
+  is one product with its 2^k x 2^k operator (k <= 5) on the k wires moved
+  to the front. The moved copy is the only new array: the product is
+  written back into the state's own memory. An operator with no imaginary
+  part, as every run of a lowered circuit has, multiplies the float64 view
+  of the copy, each complex amplitude read as its (re, im) pair: half the
+  arithmetic of the complex product over the same memory. Any other
+  operator takes the complex product.
 
 Angle-free operators are built once and kept read-only by ``_fused``, an LRU
 cache keyed by the width and the run's (tag, wires) pairs, wires relative to
 the run's; an operator with an angled gate is built afresh. Angles are never
 in a key, so the cache cannot grow with them. The two rules stay apart
 because the second would slow synthesis, whose lowerings are at most 5 wires
-wide: one m = 3 target took 7 ms with the first and 23 ms with the second.
+wide: one m = 3 target took 7 ms with the first and 23 ms with the second
+(at k = 3), as an operator with an angled gate is never cached.
 Runs of one gate, the angled gates that cut runs, and on wider arrays runs
 of only the phase gates below (Z, S, SDG, CZ, CS, CCZ), so that the
 amplitudes they leave alone stay bit-identical, go gate by gate through the
@@ -217,14 +221,15 @@ def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
     return psi
 
 
-# Up to _FUSE_MAX_QUBITS wires a fused operator spans the whole state: at the
-# cap it is 32x32 complex (16 KiB), so the cache holds 4 MiB at most. A miss
-# builds it on all 2^n columns, which costs more than the run; synthesis,
-# whose run shapes recur, stays within the cap. On wider states a fused
-# operator spans at most _FUSE_LOCAL_QUBITS wires, the three of a lowered
-# span (data wire, catalyst, ancilla).
-_FUSE_MAX_QUBITS = 5
-_FUSE_LOCAL_QUBITS = 3
+# A fused operator spans at most _FUSE_QUBITS wires: at the cap it is 32x32
+# complex (16 KiB), so the cache holds 4 MiB at most. Up to the cap it spans
+# the whole state; a miss builds it on all 2^n columns, which costs more than
+# the run, but synthesis, whose run shapes recur, stays within the cap. On
+# wider states each fused run costs a moved copy and a product, both bound by
+# memory bandwidth, and a real 32x32 product costs little more than a complex
+# 8x8 one (18 wires, 2-core Xeon: copy 1.4-1.9 ms, real 32x32 product 1.1 ms,
+# complex 8x8 0.8 ms), so fusing up to the cap halves the passes of k = 3.
+_FUSE_QUBITS = 5
 _FUSE_CACHE_SIZE = 256
 
 
@@ -251,7 +256,7 @@ def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
     ``psi`` belongs to the caller's pass, which hands it over: it is
     overwritten, and the result may live in its memory.
     """
-    if n > _FUSE_MAX_QUBITS:
+    if n > _FUSE_QUBITS:
         return _evolve_local(psi, gates)
     run: list[GateApp] = []
     for app in gates:
@@ -274,12 +279,12 @@ def _apply_run(psi: np.ndarray, run: list[GateApp], n: int) -> np.ndarray:
 
 def _evolve_local(psi: np.ndarray, gates: tuple[GateApp, ...]) -> np.ndarray:
     """``_evolve`` past the whole-state cap: each maximal run of gates on at
-    most ``_FUSE_LOCAL_QUBITS`` wires is one product with its 2^k operator."""
+    most ``_FUSE_QUBITS`` wires is one product with its 2^k operator."""
     run: list[GateApp] = []
     wires: set[int] = set()
     for app in gates:
         union = wires.union(app.qubits)
-        if len(union) > _FUSE_LOCAL_QUBITS:
+        if len(union) > _FUSE_QUBITS:
             psi = _apply_local(psi, run, sorted(wires))
             run, union = [], set(app.qubits)
         run.append(app)
@@ -296,7 +301,8 @@ def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.nd
     with ``wires`` moved to the front. The product goes back into the memory
     under ``psi`` (``psi`` itself, or the array it is a view of, which holds
     exactly the state), and the result is that memory viewed with the wires
-    moved back.
+    moved back. A real operator multiplies the float64 views of the copy and
+    of that memory.
     """
     if len(run) == 1 or all(app.kind.gate in _ONES_PHASE for app in run):
         for app in run:
@@ -311,7 +317,11 @@ def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.nd
     moved = np.moveaxis(psi, wires, range(k))
     cols = moved.copy().reshape(1 << k, -1)
     own = psi if psi.base is None else psi.base
-    np.matmul(op, cols, out=own.reshape(cols.shape, copy=False))
+    dst = own.reshape(cols.shape, copy=False)
+    if op.imag.any():
+        np.matmul(op, cols, out=dst)
+    else:
+        np.matmul(np.ascontiguousarray(op.real), cols.view(np.float64), out=dst.view(np.float64))
     return np.moveaxis(own.reshape(moved.shape, copy=False), range(k), wires)
 
 
@@ -466,11 +476,23 @@ def basis_state(num_qubits: int, index: int) -> np.ndarray:
 def product_state(tokens: list[str]) -> np.ndarray:
     """Tensor product of per-qubit tokens ('0','1','+','-','+i','-i'), qubit 0 first."""
     _check_state_width(len(tokens))
-    psi = np.array([1.0], dtype=complex)
     for tok in tokens:
         if tok not in STATE_TOKENS:
             raise ValueError(f"unknown state token {tok!r}")
-        psi = np.kron(psi, STATE_TOKENS[tok])
+    # Each half is grown from its last wire, so an outer product's inner loop
+    # runs over the state built so far, not over one ket's two entries. The
+    # halves stay small, and their outer product is the one state-sized
+    # array: growing the whole state so would also allocate, and page-fault
+    # in, fresh memory at a half, a quarter, ... of the state's size.
+    half = len(tokens) // 2
+    return np.multiply.outer(_grown(tokens[:half]), _grown(tokens[half:])).reshape(-1)
+
+
+def _grown(tokens: list[str]) -> np.ndarray:
+    """``product_state`` of known tokens, built from the last wire up."""
+    psi = np.ones(1, dtype=complex)
+    for tok in reversed(tokens):
+        psi = np.multiply.outer(STATE_TOKENS[tok], psi).reshape(-1)
     return psi
 
 

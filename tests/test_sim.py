@@ -39,8 +39,7 @@ from catalyq.sim import (
     KET_PLUS_I,
     MAX_DENSE_QUBITS,
     MAX_STATE_QUBITS,
-    _FUSE_LOCAL_QUBITS,
-    _FUSE_MAX_QUBITS,
+    _FUSE_QUBITS,
     _apply,
     _fused,
     basis_state,
@@ -379,7 +378,7 @@ def test_fused_loop_matches_the_oracle(case):
 
 
 def test_cache_hit_repeats_the_miss_bit_for_bit():
-    c = random_circuit(np.random.default_rng(8), _FUSE_MAX_QUBITS, 60)
+    c = random_circuit(np.random.default_rng(8), _FUSE_QUBITS, 60)
     _fused.cache_clear()
     first = circuit_unitary(c)
     misses = _fused.cache_info().misses
@@ -423,6 +422,22 @@ def per_gate(c, state):
     return psi.reshape(-1)
 
 
+class RecordingNumpy:
+    """``np`` as ``sim`` sees it, recording each product written with ``out=``
+    (the fused ones past the whole-state cap) as (operator, state dtype)."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if "out" in kwargs:
+            self.products.append((a, b.dtype))
+        return np.matmul(a, b, **kwargs)
+
+
 def test_local_fusion_matches_the_per_gate_loop_on_wide_states(monkeypatch):
     rng = np.random.default_rng(2026)
     built = []
@@ -433,16 +448,59 @@ def test_local_fusion_matches_the_per_gate_loop_on_wide_states(monkeypatch):
         return operator(n, built[-1])
 
     monkeypatch.setattr(sim, "_operator", recording)
+    numpy = RecordingNumpy()
+    monkeypatch.setattr(sim, "np", numpy)
     for data in (12, 14, 16):
         c = wide_lowered(rng, data)
         n = c.num_qubits
-        assert n == data + 2 > _FUSE_MAX_QUBITS
+        assert n == data + 2 > _FUSE_QUBITS
         state = random_state(n, int(rng.integers(2**32))).reshape(-1)
         assert np.abs(run(c, state) - per_gate(c, state)).max() <= 1e-12
-    # Runs with an RY among other gates were fused, each on at most k wires.
+    # Runs with an RY among other gates were fused, each on at most k wires,
+    # and some on 4 or 5.
     angled = [apps for apps in built if any(a.kind.angle is not None for a in apps)]
     assert any(len(apps) > 1 for apps in angled)
-    assert all(max(q for a in apps for q in a.qubits) < _FUSE_LOCAL_QUBITS for apps in built)
+    assert all(max(q for a in apps for q in a.qubits) < _FUSE_QUBITS for apps in built)
+    assert any(len({q for a in apps for q in a.qubits}) in (4, 5) for apps in built)
+    # A lowered circuit is real: every fused operator took the float64 product.
+    assert numpy.products
+    assert all(op.dtype == dtype == np.float64 for op, dtype in numpy.products)
+
+
+def mixed_wide(rng, n, count):
+    """``count`` gates on ``n`` wires drawn from S, SDG, CS, RX, RZ, Y, CRY,
+    H, CCZ and RY: runs whose operators are complex and runs of real ones."""
+    pool = (Gate.S, Gate.SDG, Gate.CS, Gate.RX, Gate.RZ, Gate.Y, Gate.CRY, Gate.H, Gate.CCZ, Gate.RY)
+    apps = []
+    for gate in rng.choice(pool, size=count).tolist():
+        wires = tuple(rng.choice(n, size=gate.arity, replace=False).tolist())
+        angle = float(rng.uniform(-math.pi, math.pi)) if gate.takes_angle else None
+        apps.append(GateApp(GateKind(gate, angle), wires))
+    return Circuit(n, tuple(apps))
+
+
+def test_local_fusion_of_complex_gates_matches_the_per_gate_loop(monkeypatch):
+    numpy = RecordingNumpy()
+    monkeypatch.setattr(sim, "np", numpy)
+    rng = np.random.default_rng(91)
+    for n in (7, 8, 9, 10):
+        c = mixed_wide(rng, n, 80)
+        state = random_state(n, n).reshape(-1)
+        assert np.abs(run(c, state) - per_gate(c, state)).max() <= 1e-12
+    # The same on a column batch, catalyst fed |+i>: the batch axis rides along.
+    c = mixed_wide(rng, 8, 60)
+    cols = evolve_columns(c, {3: KET_PLUS_I})
+    want = np.expand_dims(np.eye(1 << 7, dtype=complex).reshape((2,) * 7 + (1 << 7,)), 3)
+    want = want * KET_PLUS_I.reshape((2,) + (1,) * 5)
+    for app in c.gates:
+        want = _apply(want, app)
+    assert np.abs(cols - want).max() <= 1e-12
+    # A complex operator took the complex product, a real one the float64 one.
+    kinds = {op.dtype for op, _ in numpy.products}
+    assert kinds == {np.dtype(complex), np.dtype(np.float64)}
+    for op, dtype in numpy.products:
+        assert dtype == op.dtype
+        assert op.dtype == np.float64 or op.imag.any()
 
 
 def test_run_leaves_a_wide_input_unchanged():
@@ -736,6 +794,22 @@ def test_product_state_tokens():
     assert np.allclose(psi, np.kron(KET_PLUS_I, KET_1))
     with pytest.raises(ValueError, match="unknown state token"):
         product_state(["2"])
+    # Every token is checked, in order, before anything is built.
+    with pytest.raises(ValueError, match="unknown state token '2'"):
+        product_state(["2", "0", "x"])
+
+
+def test_product_state_matches_the_kron_chain():
+    rng = np.random.default_rng(12)
+    names = sorted(sim.STATE_TOKENS)
+    for count in range(1, 13):
+        tokens = rng.choice(names, size=count).tolist()
+        want = np.array([1.0], dtype=complex)
+        for tok in tokens:
+            want = np.kron(want, sim.STATE_TOKENS[tok])
+        got = product_state(tokens)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
 
 def test_basis_state_bit_order():
