@@ -73,11 +73,9 @@ from .sim import (
     run,
 )
 from .synth import (
-    EulerXYX,
     SynthesisError,
     SynthesisResult,
     decompose_su2m,
-    euler_xyx,
     format_matrix,
     haar_su,
     haar_unitary,
@@ -93,7 +91,6 @@ __all__ = [
     "Circuit",
     "CircuitError",
     "CountReport",
-    "EulerXYX",
     "FULL",
     "FlipCheck",
     "Gadget",
@@ -127,7 +124,6 @@ __all__ = [
     "count_report",
     "cs_gadget",
     "decompose_su2m",
-    "euler_xyx",
     "extract_catalytic",
     "format_matrix",
     "gate_counts",

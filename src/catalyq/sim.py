@@ -35,11 +35,16 @@ the run's; an operator with an angled gate is built afresh. Angles are never
 in a key, so the cache cannot grow with them. The two rules stay apart
 because the second would slow synthesis, whose lowerings are at most 5 wires
 wide: one m = 3 target took 7 ms with the first and 23 ms with the second
-(at k = 3), as an operator with an angled gate is never cached.
-Runs of one gate, the angled gates that cut runs, and on wider arrays runs
-of only the phase gates below (Z, S, SDG, CZ, CS, CCZ), so that the
-amplitudes they leave alone stay bit-identical, go gate by gate through the
-kernel ``_apply``, which never builds the gate's embedding:
+(measured with local runs of at most 3 wires), as an operator with an angled
+gate is never cached.
+
+The kernel ``_apply`` applies one gate without building its embedding. Up
+to 5 wires it takes runs of one gate and the angled gates that cut runs; it
+also builds every fused operator, on the identity. On wider arrays it takes
+only runs of phase gates (Z, S, SDG, CZ, CS, CCZ), so that the amplitudes
+they leave alone stay bit-identical; every other run, a lone gate included,
+is a local product. So a one-qubit update never sees more than 4^5 = 1024
+amplitudes:
 
 - diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
   slice where every operand bit is 1 by the gate's phase (RZ phases both
@@ -47,14 +52,8 @@ kernel ``_apply``, which never builds the gate's embedding:
 - X swaps its two slices in place;
 - H, Y, RX and RY multiply their 2x2 matrix into the (left, 2, right)
   reshape as one batched product, written to a new array that replaces the
-  state; a permuted view, as a wide fused run leaves the state, is taken in
-  its memory's axis order, so the reshape does not copy it;
+  state;
 - CRY does the same one-qubit update on its control=1 slice, in place.
-
-On a large array whose trailing block ``right`` (amplitudes right of the
-target wire, batch included) is short, a one-qubit gate is one gemm against
-kron(m, I_right) instead. Which path a gate takes depends only on the array's
-shape in memory order.
 
 ``induce`` reads the operator induced on the free wires off one column pass
 (``project`` fixes the output kets); ``catalytic_report`` factors such
@@ -153,25 +152,17 @@ def _num_qubits_of(dim: int) -> int:
 _ALL = slice(None)
 _BIT = (slice(0, 1), slice(1, 2))
 
-# A one-qubit gate whose trailing block (the amplitudes right of its wire,
-# batch included) holds at most _GEMM_MAX_RIGHT entries, on an array of at
-# least _GEMM_MIN_SIZE amplitudes, runs as one gemm against kron(m, I_right):
-# there the batched 2x2 products, one per short block, cost 2-30x more, and
-# the strided slice updates of X and RZ 2-4x more (18 wires, 2-core Xeon).
-# On smaller arrays building the kron matrix costs more than it saves.
-_GEMM_MAX_RIGHT = 16
-_GEMM_MIN_SIZE = 1 << 10
-
 
 def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
     """Apply one gate to ``psi`` and return the array that holds the result.
 
     ``psi`` has shape (2,)*n, optionally followed by one batch axis; ``app``
     must act on wires below n. The diagonal gates, X and CRY update ``psi``
-    in place and return it. H, Y, RX and RY, and every one-qubit gate that
-    takes the gemm, return a new array and leave ``psi`` to be dropped: one
-    product into fresh memory is about twice as fast as an in-place pair
-    update, whose temporaries take as much memory.
+    in place and return it. H, Y, RX and RY return a new array and leave
+    ``psi`` to be dropped: one product into fresh memory is about twice as
+    fast as an in-place pair update, whose temporaries take as much memory.
+    Of a state past the whole-state cap, only phase gates come here, and
+    they work on any view, the permuted one a fused run leaves included.
     """
     gate = app.kind.gate
     idx: list = [_ALL] * psi.ndim
@@ -188,26 +179,13 @@ def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
         target = psi[tuple(idx)]
         target[...] = _apply_1q(target, q, GateKind(Gate.RY, app.kind.angle))
         return psi
-    if psi.flags.c_contiguous:
-        return _apply_1q(psi, app.qubits[0], app.kind)
-    # A permuted view, as ``_apply_local`` leaves: the reshapes in _apply_1q
-    # would copy it, so the gate runs on the axis it has in memory and the
-    # result is viewed back in the same axis order.
-    order = sorted(range(psi.ndim), key=psi.strides.__getitem__, reverse=True)
-    out = _apply_1q(psi.transpose(order), order.index(app.qubits[0]), app.kind)
-    return out.transpose(np.argsort(order))
+    return _apply_1q(psi, app.qubits[0], app.kind)
 
 
 def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
     """One-qubit gate ``kind`` on axis ``q`` of ``psi``, as in ``_apply``."""
-    right = math.prod(psi.shape[q + 1 :])
-    if right <= _GEMM_MAX_RIGHT and psi.size >= _GEMM_MIN_SIZE:
-        mat = _matrix(kind)
-        kron = mat.T[:, None, :, None] * np.eye(right)[None, :, None, :]
-        rows = psi.reshape(-1, 2 * right) @ kron.reshape(2 * right, 2 * right)
-        return rows.reshape(psi.shape)
     if kind.gate is not Gate.X and kind.gate is not Gate.RZ:
-        pairs = psi.reshape(-1, 2, right)
+        pairs = psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
         return np.matmul(_matrix(kind), pairs).reshape(psi.shape)
     lead = (_ALL,) * q
     zero, one = psi[lead + (_BIT[0],)], psi[lead + (_BIT[1],)]
@@ -295,16 +273,16 @@ def _evolve_local(psi: np.ndarray, gates: tuple[GateApp, ...]) -> np.ndarray:
 def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.ndarray:
     """``run``, acting on ``wires`` only, applied to ``psi``.
 
-    One gate, or a run of only phase gates, goes through ``_apply``.
-    Otherwise the run's operator comes from ``_fused`` if no gate has an
-    angle and is built afresh if one has, and multiplies a copy of ``psi``
-    with ``wires`` moved to the front. The product goes back into the memory
-    under ``psi`` (``psi`` itself, or the array it is a view of, which holds
-    exactly the state), and the result is that memory viewed with the wires
-    moved back. A real operator multiplies the float64 views of the copy and
-    of that memory.
+    A run of only phase gates goes through ``_apply``, in place. Any other
+    run, one gate or many, is one product: the run's operator comes from
+    ``_fused`` if no gate has an angle and is built afresh if one has, and
+    multiplies a copy of ``psi`` with ``wires`` moved to the front. The
+    product goes back into the memory under ``psi`` (``psi`` itself, or the
+    array it is a view of, which holds exactly the state), and the result is
+    that memory viewed with the wires moved back. A real operator multiplies
+    the float64 views of the copy and of that memory.
     """
-    if len(run) == 1 or all(app.kind.gate in _ONES_PHASE for app in run):
+    if all(app.kind.gate in _ONES_PHASE for app in run):
         for app in run:
             psi = _apply(psi, app)
         return psi

@@ -68,46 +68,12 @@ def _su2_parts(u: np.ndarray) -> tuple[np.ndarray, float]:
     return coeff * u, -cmath.phase(coeff)
 
 
-def _params_zyz(u: np.ndarray) -> tuple[float, float, float, float]:
-    """(theta, phi, lam, phase) with u = e^{i phase} Rz(phi) Ry(theta) Rz(lam)."""
-    su, phase = _su2_parts(u)
+def _params_zyz(su: np.ndarray) -> tuple[float, float, float]:
+    """(theta, phi, lam) with ``su`` in SU(2) = Rz(phi) Ry(theta) Rz(lam), up to sign."""
     theta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
     plus = 2.0 * cmath.phase(su[1, 1])
     minus = 2.0 * cmath.phase(su[1, 0])
-    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0, phase
-
-
-@dataclass(frozen=True)
-class EulerXYX:
-    """u = e^{i phase} Rx(alpha) Ry(beta) Rx(gamma), angles in (-2 pi, 2 pi]."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    phase: float
-
-
-_H = gate_matrix(GateKind(Gate.H))
-
-
-def euler_xyx(u: np.ndarray) -> EulerXYX:
-    """X-Y-X Euler angles via the H-conjugated Z-Y-Z extraction.
-
-    Conjugating by H swaps the X and Z axes, so the ZYZ angles of HuH are the
-    XYX angles of u with the middle rotation flipped in sign. Inputs already
-    in a single rotation family come back as that bare rotation.
-    """
-    u = _check_unitary(u)
-    if u.shape != (2, 2):
-        raise SynthesisError("euler_xyx expects a 2x2 unitary")
-    su, phase = _su2_parts(u)
-    a, b = su[0, 0], su[0, 1]
-    if abs(a.imag) <= _FAMILY_EPS and abs(b.real) <= _FAMILY_EPS:
-        return EulerXYX(2.0 * math.atan2(-b.imag, a.real), 0.0, 0.0, phase)
-    if abs(a.imag) <= _FAMILY_EPS and abs(b.imag) <= _FAMILY_EPS:
-        return EulerXYX(0.0, 2.0 * math.atan2(-b.real, a.real), 0.0, phase)
-    theta, phi, lam, ph = _params_zyz(_H @ u @ _H)
-    return EulerXYX(phi, -theta, lam, ph)
+    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0
 
 
 _NAMED_SU2 = tuple(  # I (as None), then the named gates; SU(2) form is unique up to sign
@@ -143,7 +109,7 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
         return _rot(Gate.RX, 2.0 * math.atan2(-b.imag, a.real), qubit)
     if abs(a.imag) <= _FAMILY_EPS and abs(b.imag) <= _FAMILY_EPS:
         return _rot(Gate.RY, 2.0 * math.atan2(-b.real, a.real), qubit)
-    theta, phi, lam, _ = _params_zyz(u)
+    theta, phi, lam = _params_zyz(su)
     if abs(b) <= _FAMILY_EPS:
         return _rot(Gate.RZ, phi + lam, qubit)
     return (

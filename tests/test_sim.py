@@ -23,12 +23,15 @@ from catalyq.ir import (
     GateKind,
     ccz,
     circuit_of,
+    cry,
     cz,
     h,
     parse_circuit,
     rx,
     ry,
+    rz,
     s,
+    x,
     y,
 )
 from catalyq.lowering import lower
@@ -283,8 +286,8 @@ def test_kernel_matches_tensordot_on_states(case):
 
 @pytest.mark.parametrize("gate", [Gate.H, Gate.X, Gate.Y, Gate.RX, Gate.RY, Gate.CRY])
 def test_kernel_gemm_path_on_wide_states(gate):
-    # At 12 wires the short trailing blocks of the last wires take the
-    # kron(m, I_right) gemm, also on CRY's control=1 slice.
+    # The kernel alone on the last wires of 12, whose trailing blocks are the
+    # shortest, also on CRY's control=1 slice.
     n = 12
     kind = GateKind(gate, 0.9 if gate.takes_angle else None)
     wire_sets = [(w,) for w in range(n - 5, n)]
@@ -512,31 +515,44 @@ def test_run_leaves_a_wide_input_unchanged():
     assert not np.shares_memory(out, state)
 
 
-def test_lone_one_qubit_gate_after_a_span_runs_on_the_state_in_place(monkeypatch):
-    # A fused span leaves the state as a permuted view; a lone H, Y, RX or RY
-    # after it must match the per-gate loop, on every wire, without the
-    # kernel copying that view into C order first.
-    seen = []
+def test_lone_gate_after_a_span_is_a_local_product(monkeypatch):
+    # A lone H, X, Y, RX, RY, RZ or CRY that ends a circuit after a 5-wire
+    # span is a run of its own. On every wire it must match the per-gate
+    # loop as a local product: the kernel's one-qubit update only sees the
+    # small operators being built, never the wide state.
     apply_1q = sim._apply_1q
+    lone = (
+        lambda q, t: h(q),
+        lambda q, t: x(q),
+        lambda q, t: y(q),
+        lambda q, t: rx(0.7, q),
+        lambda q, t: ry(-1.1, q),
+        lambda q, t: rz(0.4, q),
+        lambda q, t: cry(1.3, q, t),
+    )
+    seen = []  # (lone gate, size, C-contiguous) of each _apply_1q input in run
 
     def recording(psi, q, kind):
-        seen.append(psi.flags.c_contiguous)
+        seen.append((last.kind.gate, psi.size, psi.flags.c_contiguous))
         return apply_1q(psi, q, kind)
 
-    monkeypatch.setattr(sim, "_apply_1q", recording)
     rng = np.random.default_rng(14)
-    lone = (h, y, lambda q: rx(0.7, q), lambda q: ry(-1.1, q))
     for n in (14, 16, 18):
         state = random_state(n, n).reshape(-1)
         kept = state.copy()
         for q in range(n):
-            a, b, c, d, e, f = (int(w) for w in rng.permutation(np.delete(np.arange(n), q))[:6])
-            circuit = circuit_of(
-                n, h(b), ccz(a, b, c), h(c), lone[q % 4](q), ccz(d, e, f), h(e), h(f)
-            )
-            assert np.abs(run(circuit, state) - per_gate(circuit, state)).max() <= 1e-12
+            a, b, c, d, e, t = (int(w) for w in rng.permutation(np.delete(np.arange(n), q))[:6])
+            last = lone[q % len(lone)](q, t)
+            circuit = circuit_of(n, h(a), ccz(a, b, c), ccz(c, d, e), last)
+            want = per_gate(circuit, state)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_apply_1q", recording)
+                got = run(circuit, state)
+            assert np.abs(got - want).max() <= 1e-12
         assert np.array_equal(state.view(np.uint64), kept.view(np.uint64))
-    assert seen and all(seen)
+    assert seen and all(size <= 1 << 2 * _FUSE_QUBITS for _, size, _ in seen)
+    # CRY updates its control=1 slice, a strided view of the operator.
+    assert all(contiguous or gate is Gate.CRY for gate, _, contiguous in seen)
 
 
 def test_angles_never_enter_the_local_cache():

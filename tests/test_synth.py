@@ -1,4 +1,4 @@
-"""Synthesis: Euler extraction, CZ-based decomposition, full pipeline."""
+"""Synthesis: one-qubit emission, CZ-based decomposition, full pipeline."""
 
 import math
 
@@ -13,7 +13,6 @@ from catalyq.synth import (
     VERIFY_TOL,
     SynthesisError,
     decompose_su2m,
-    euler_xyx,
     format_matrix,
     haar_su,
     haar_unitary,
@@ -26,59 +25,43 @@ def rx(t):
     return gate_matrix(GateKind(Gate.RX, t))
 
 
-def ry(t):
-    return gate_matrix(GateKind(Gate.RY, t))
+# --- one-qubit emission ---
+
+def emitted_matrix(u):
+    """``synth._emit_1q(u, 0)`` as one 2x2 matrix, with its gate tags."""
+    apps = synth._emit_1q(u, 0)
+    got = np.eye(2, dtype=complex)
+    for app in apps:
+        assert app.qubits == (0,)
+        got = gate_matrix(app.kind) @ got
+    return got, [app.kind.gate for app in apps]
 
 
-def reconstruct(angles):
-    return np.exp(1j * angles.phase) * rx(angles.alpha) @ ry(angles.beta) @ rx(angles.gamma)
+def equal_up_to_phase(a, b, tol):
+    overlap = np.vdot(a, b)
+    return np.abs(overlap / abs(overlap) * a - b).max() <= tol
 
 
-# --- euler_xyx ---
-
-def test_euler_identity_canonical_zeros():
-    angles = euler_xyx(np.eye(2, dtype=complex))
-    assert (angles.alpha, angles.beta, angles.gamma) == (0.0, 0.0, 0.0)
-    assert abs(angles.phase) <= 1e-15
-
-
-def test_euler_y_family_canonical():
-    angles = euler_xyx(ry(1.3))
-    assert angles.alpha == 0.0
-    assert abs(angles.beta - 1.3) <= 1e-15
-    assert angles.gamma == 0.0
-    assert abs(angles.phase) <= 1e-15
-
-
-def test_euler_x_family_values():
-    for k in range(32):
-        t = -2.0 * math.pi + 4.0 * math.pi * (k + 1) / 32.0  # spans (-2pi, 2pi]
-        angles = euler_xyx(rx(t))
-        assert angles.beta == 0.0
-        assert angles.gamma == 0.0
-        assert np.abs(reconstruct(angles) - rx(t)).max() <= 1e-12
-
-
-def test_euler_hadamard_reconstruction():
-    h_mat = gate_matrix(GateKind(Gate.H))
-    angles = euler_xyx(h_mat)
-    assert np.abs(reconstruct(angles) - h_mat).max() <= 1e-12
-
-
-def test_euler_haar_reconstruction():
+def test_one_qubit_emission_reproduces_haar_unitaries():
     for seed in range(100):
         u = haar_unitary(2, seed)
-        angles = euler_xyx(u)
-        for value in (angles.alpha, angles.beta, angles.gamma):
-            assert -2.0 * math.pi < value <= 2.0 * math.pi
-        assert np.abs(reconstruct(angles) - u).max() <= 1e-12
+        got, _ = emitted_matrix(u)
+        assert equal_up_to_phase(got, u, 1e-12)
 
 
-def test_euler_rejects_non_unitary():
-    with pytest.raises(SynthesisError, match="not unitary"):
-        euler_xyx(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(SynthesisError, match="2x2"):
-        euler_xyx(np.eye(4, dtype=complex))
+@pytest.mark.parametrize("family", [Gate.RX, Gate.RY])
+def test_one_qubit_rotation_emits_one_gate_of_its_family(family):
+    # A half turn of RX is X up to phase, and a full turn is the identity.
+    allowed = {Gate.RX, Gate.X} if family is Gate.RX else {Gate.RY}
+    for k in range(32):
+        t = -2.0 * math.pi + 4.0 * math.pi * (k + 1) / 32.0  # spans (-2pi, 2pi]
+        u = gate_matrix(GateKind(family, t))
+        got, gates = emitted_matrix(u)
+        assert equal_up_to_phase(got, u, 1e-12)
+        if math.remainder(t, 2.0 * math.pi) == 0.0:
+            assert gates == []
+        else:
+            assert len(gates) == 1 and gates[0] in allowed
 
 
 # --- decompose_su2m ---
