@@ -13,13 +13,21 @@ operands, the catalyst ``c`` and the ancilla ``a``:
     S d        -> the same gadget on (c, a, d):
                   H c, CCZ a d c, H c, CCZ a d c
     CZ x y     -> CCZ a x y
-    SDG d      -> S d, S d, S d
-    RX(t) d    -> S d, RY(t) d, SDG d
-    RZ(t) d    -> H d, RX(t) d, H d
+    SDG d      -> the S gadget reversed: CCZ a d c, H c, CCZ a d c, H c
+    RX(t) d    -> H d, RZ(t) d, H d
+    RZ(t) d    -> CCZ a d c, RY(t) c, CCZ a d c
+    Y d        -> Z d, X d, X c, Z c
+
+RZ is the catalyst kick: |+i> is an RY eigenstate, RY(t)|+i> =
+exp(-i t/2)|+i>, and the CCZ on the |1> ancilla is a CZ(d, c) that flips the
+sign of t when d is |1>; the result is RZ(t) exactly, global phase included.
+Y spends none: Z X maps |+i> to i|+i>, the phase in Y = i X Z.
+``rule_cost`` gives each gate's CCZ and gate count once every rule has
+expanded: 2 CCZ for S, SDG, CS, RZ and RX, 1 for CZ, 0 for Y.
 
 A gate the target admits passes through; any other gate is expanded through
-the table until every gate is admitted, or is not lowerable (Y and CRY have
-no entry). If any expansion names ``a``, the lowered circuit opens with the
+the table until every gate is admitted, or is not lowerable (CRY has no
+entry). If any expansion names ``a``, the lowered circuit opens with the
 ancilla's one X prep (|0> -> |1>); then each source gate lowers, in source
 order, to one contiguous span: its own expansion, nothing else. The prep is
 an emitted gate too, so a rule that names ``a`` needs X admitted: {H, CCZ}
@@ -42,7 +50,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,9 +101,10 @@ RULES: dict[Gate, Rule] = {
     Gate.CS: _gadget_rule(cs_gadget(), (0, 1)),
     Gate.S: _gadget_rule(cs_gadget(), (A, 0)),
     Gate.CZ: ((Gate.CCZ, (A, 0, 1)),),
-    Gate.SDG: ((Gate.S, (0,)),) * 3,
-    Gate.RX: ((Gate.S, (0,)), (Gate.RY, (0,)), (Gate.SDG, (0,))),
-    Gate.RZ: ((Gate.H, (0,)), (Gate.RX, (0,)), (Gate.H, (0,))),
+    Gate.SDG: _gadget_rule(cs_gadget(), (A, 0))[::-1],
+    Gate.RX: ((Gate.H, (0,)), (Gate.RZ, (0,)), (Gate.H, (0,))),
+    Gate.RZ: ((Gate.CCZ, (A, 0, C)), (Gate.RY, (C,)), (Gate.CCZ, (A, 0, C))),
+    Gate.Y: ((Gate.Z, (0,)), (Gate.X, (0,)), (Gate.X, (C,)), (Gate.Z, (C,))),
 }
 
 
@@ -154,6 +163,24 @@ def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
         fired=fired,
         angled=tuple(j for j, (g, _) in enumerate(flat) if g.takes_angle),
     )
+
+
+class RuleCost(NamedTuple):
+    ccz: int
+    gates: int
+
+
+# Admits exactly the gates without a rule, so a plan for it expands every rule.
+_EXPANDED = GateSetProfile("every rule expanded", lambda g: g not in RULES)
+
+
+def rule_cost(gate: Gate) -> RuleCost:
+    """CCZ and gates one ``gate`` lowers to once every rule has expanded: its
+    flattened plan, without the ancilla's one-time X prep. A gate without a
+    rule costs itself. For {H, CCZ} and {H, X, Z, RY, CCZ}, which admit no
+    gate that has a rule, this is what ``lower`` emits per source gate."""
+    plan = _plan(gate, _EXPANDED)
+    return RuleCost(sum(g is Gate.CCZ for g, _, _ in plan.gates), len(plan.gates))
 
 
 def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
@@ -241,28 +268,32 @@ class CountReport:
     ancilla: int
     ccz_per_cs: float | None
     ccz_per_s: float | None
+    ccz_per_other_rule: dict[str, float]  # every other rule that fired, in ``RULES`` order
     notes: tuple[str, ...]
 
     def to_json(self) -> str:
-        """Byte-stable JSON; the field order is the key order."""
-        return json.dumps(asdict(self), indent=2)
-
-
-def _ccz_per(lowered: LoweredCircuit, gate: Gate) -> float | None:
-    """CCZ in one ``RULES[gate]`` expansion, or None if the rule never fired."""
-    if not lowered.rule_instances[gate]:
-        return None
-    return float(sum(g is Gate.CCZ for g, _ in RULES[gate]))
+        """Byte-stable JSON; the field order is the key order. An empty
+        ``ccz_per_other_rule`` is left out, so a report on CS and S alone
+        reads as it did before that field existed."""
+        fields = asdict(self)
+        if not self.ccz_per_other_rule:
+            del fields["ccz_per_other_rule"]
+        return json.dumps(fields, indent=2)
 
 
 def count_report(lowered: LoweredCircuit) -> CountReport:
-    """Gate-count accounting for a lowering, including per-gadget CCZ rates."""
+    """Gate-count accounting for a lowering: the CCZ per instance
+    (``rule_cost``) of every rule that fired, None for CS or S if it did not."""
+    ccz = {
+        g: float(rule_cost(g).ccz) for g, fired in lowered.rule_instances.items() if fired
+    }
     return CountReport(
         counts={g.value: lowered.counts[g] for g in Gate},
         catalyst=lowered.catalyst_qubit is not None,
         ancilla=len(lowered.ancilla_qubits),
-        ccz_per_cs=_ccz_per(lowered, Gate.CS),
-        ccz_per_s=_ccz_per(lowered, Gate.S),
+        ccz_per_cs=ccz.pop(Gate.CS, None),
+        ccz_per_s=ccz.pop(Gate.S, None),
+        ccz_per_other_rule={g.value: k for g, k in ccz.items()},
         notes=_REPORT_NOTES,
     )
 

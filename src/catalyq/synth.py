@@ -4,9 +4,11 @@
 plus CZ using a cosine-sine recursion: the matrix splits as
 (A1 (+) A2) . multiplexed-RY . (B1 (+) B2), each block-diagonal multiplexor
 demultiplexes into local unitaries around a multiplexed RZ, and multiplexed
-rotations unroll into CX ladders (CX inlined as H CZ H). Worst case for m = 3
-is 42 CZ, and every dropped single-qubit phase is global, so the result
-matches the input in phase-aligned distance at working precision.
+rotations unroll into CX ladders (CX inlined as H CZ H). Each one-qubit block
+left is emitted Y-Z-Y: RY and H are in the target set, so only its one RZ
+costs CCZ (2) once lowered. Worst case for m = 3 is 42 CZ, and every dropped
+single-qubit phase is global, so the result matches the input in
+phase-aligned distance at working precision.
 
 ``synthesize`` chains that with the catalytic lowering pass, yielding a
 circuit over {H, X, Z, RY, CCZ} plus one |+i> catalyst and one X-prepped
@@ -80,6 +82,7 @@ _NAMED_SU2 = tuple(  # I (as None), then the named gates; SU(2) form is unique u
     (g, _su2_parts(np.eye(2) if g is None else gate_matrix(GateKind(g)))[0])
     for g in (None, Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG)
 )
+_RX90 = gate_matrix(GateKind(Gate.RX, math.pi / 2.0))
 _ANGLE_EPS = 1e-12
 # Largest entrywise gap at which an SU(2) block is emitted as a named gate.
 _NAMED_EPS = 1e-12
@@ -99,7 +102,11 @@ def _rot(gate: Gate, angle: float, qubit: int) -> list[GateApp]:
 
 
 def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
-    """Shortest-form emission of a single-qubit unitary, up to global phase."""
+    """Shortest-form emission of a single-qubit unitary, up to global phase.
+
+    A named gate or a single rotation is emitted as such; any other block is
+    Y-Z-Y, so it lowers to one RZ (2 CCZ) between two RYs that cost none.
+    """
     su, _ = _su2_parts(u)
     for g, named in _NAMED_SU2:
         if np.abs(su - named).max() <= _NAMED_EPS or np.abs(su + named).max() <= _NAMED_EPS:
@@ -109,11 +116,13 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
         return _rot(Gate.RX, 2.0 * math.atan2(-b.imag, a.real), qubit)
     if abs(a.imag) <= _FAMILY_EPS and abs(b.imag) <= _FAMILY_EPS:
         return _rot(Gate.RY, 2.0 * math.atan2(-b.real, a.real), qubit)
-    theta, phi, lam = _params_zyz(su)
     if abs(b) <= _FAMILY_EPS:
-        return _rot(Gate.RZ, phi + lam, qubit)
+        return _rot(Gate.RZ, 2.0 * cmath.phase(su[1, 1]), qubit)
+    # RX(pi/2) u RX(pi/2)^dag = Rz(phi) Ry(theta) Rz(lam) gives
+    # u = Ry(phi) Rz(-theta) Ry(lam): one RZ between two free RYs.
+    theta, phi, lam = _params_zyz(_RX90 @ su @ _RX90.conj().T)
     return (
-        _rot(Gate.RZ, lam, qubit) + _rot(Gate.RY, theta, qubit) + _rot(Gate.RZ, phi, qubit)
+        _rot(Gate.RY, lam, qubit) + _rot(Gate.RZ, -theta, qubit) + _rot(Gate.RY, phi, qubit)
     )
 
 

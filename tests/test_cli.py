@@ -129,7 +129,7 @@ def test_lower_text_mode_prints_count_report(tmp_path, capsys):
 def test_lower_unlowerable_gate_text_error(tmp_path, capsys):
     src = tmp_path / "y.txt"
     src.write_text(Y_TEXT)
-    code, out, err = run_cli(["lower", str(src), "--target", "REAL_O2_CCZ"], capsys)
+    code, out, err = run_cli(["lower", str(src), "--target", "HCCZ"], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
@@ -139,7 +139,7 @@ def test_lower_unlowerable_gate_text_error(tmp_path, capsys):
 def test_lower_unlowerable_gate_json_error(tmp_path, capsys):
     src = tmp_path / "y.txt"
     src.write_text(Y_TEXT)
-    code, payload, err = run_json(["lower", str(src), "--target", "REAL_O2_CCZ"], capsys)
+    code, payload, err = run_json(["lower", str(src), "--target", "HCCZ"], capsys)
     assert code == 1
     assert err == ""
     assert payload["ok"] is False

@@ -37,6 +37,7 @@ from catalyq.ir import (
     z,
 )
 from catalyq.lowering import (
+    A,
     C,
     RULES,
     LoweringError,
@@ -45,6 +46,7 @@ from catalyq.lowering import (
     induce,
     induced_block,
     lower,
+    rule_cost,
     verify_lowering,
 )
 from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary
@@ -73,6 +75,15 @@ def test_lemma_table():
         (Gate.S, RULES[Gate.S][:3]),
         # CZ widened onto the catalyst instead of the |1> ancilla.
         (Gate.CZ, ((Gate.CCZ, (C, 0, 1)),)),
+        # RZ with its RY angle negated (Z RY(t) Z = RY(-t)) computes RZ(-t).
+        (Gate.RZ, ((Gate.CCZ, (A, 0, C)), (Gate.Z, (C,)), (Gate.RY, (C,)), (Gate.Z, (C,)),
+                   (Gate.CCZ, (A, 0, C)))),
+        # SDG with H before the first CCZ is the S gadget: it yields S.
+        (Gate.SDG, ((Gate.H, (C,)), (Gate.CCZ, (A, 0, C)), (Gate.H, (C,)), (Gate.CCZ, (A, 0, C)))),
+        # RX missing one H.
+        (Gate.RX, ((Gate.H, (0,)), (Gate.RZ, (0,)))),
+        # Y missing the catalyst's Z: the phase i is lost and |+i> leaves as |-i>.
+        (Gate.Y, ((Gate.Z, (0,)), (Gate.X, (0,)), (Gate.X, (C,)))),
     ],
 )
 def test_corrupted_rule_fails_lemma_check(monkeypatch, gate, broken):
@@ -123,7 +134,7 @@ def test_rule_soundness_hccz_target(gate):
 @pytest.mark.parametrize(
     "gate, target",
     [
-        (Gate.Y, REAL_O2_CCZ),
+        (Gate.Y, HCCZ),
         (Gate.CRY, REAL_O2_CCZ),
         (Gate.CRY, HCCZ),
         (Gate.S, HCCZ),
@@ -229,22 +240,14 @@ def test_count_law_exact():
         rng = np.random.default_rng(9100 + seed)
         src = random_circuit(rng, 2, 15, tags=SOURCE_TAGS)
         low = lower(src, REAL_O2_CCZ)
-        expected = (
-            2 * low.rule_instances[Gate.CS]
-            + 2 * low.rule_instances[Gate.S]
-            + low.rule_instances[Gate.CZ]
-        )
+        expected = sum(rule_cost(app.kind.gate).ccz for app in src.gates)
         assert low.counts[Gate.CCZ] == expected
 
 
 def test_count_law_with_source_ccz_passthrough():
     src = circuit_of(3, ccz(0, 1, 2), s(0), ccz(0, 1, 2), cz(1, 2))
     low = lower(src, REAL_O2_CCZ)
-    law = (
-        2 * low.rule_instances[Gate.CS]
-        + 2 * low.rule_instances[Gate.S]
-        + low.rule_instances[Gate.CZ]
-    )
+    law = sum(rule_cost(app.kind.gate).ccz for app in src.gates if app.kind.gate in RULES)
     assert low.counts[Gate.CCZ] == law + 2  # the two source CCZ ride through
 
 
@@ -254,7 +257,7 @@ LOWERABLE_TO = {
     "FULL": set(Gate),
     "HCS": {Gate.H, Gate.CS},
     "HCCZ": {Gate.H, Gate.CS, Gate.CCZ},
-    "REAL_O2_CCZ": set(Gate) - {Gate.Y, Gate.CRY},
+    "REAL_O2_CCZ": set(Gate) - {Gate.CRY},
 }
 
 
@@ -375,11 +378,11 @@ def test_lower_shares_angle_free_gates_and_builds_angled_ones_fresh(src):
 
 
 def test_lower_shares_a_gate_across_source_gates():
-    # RZ 0 and RX 0 each emit CCZ (ancilla, 0, catalyst) 8 times: one object.
+    # RZ 0 and RX 0 each emit CCZ (ancilla, 0, catalyst) twice: one object.
     low = lower(circuit_of(1, rz(0.3, 0), rx(0.2, 0)), REAL_O2_CCZ)
     ((anc, _),) = low.ancilla_qubits
     ccz_apps = [app for app in low.circuit.gates if app == ccz(anc, 0, low.catalyst_qubit)]
-    assert len(ccz_apps) == 16 and len(set(map(id, ccz_apps))) == 1
+    assert len(ccz_apps) == 4 and len(set(map(id, ccz_apps))) == 1
 
 
 # --- lowered output pinned byte for byte ---
@@ -387,7 +390,7 @@ def test_lower_shares_a_gate_across_source_gates():
 def _every_gate(order):
     # Every gate REAL_O2_CCZ can lower, cycling over the operands of 3 wires.
     apps = []
-    for i, gate in enumerate(g for g in order if g not in (Gate.Y, Gate.CRY)):
+    for i, gate in enumerate(g for g in order if g is not Gate.CRY):
         qubits = tuple((i + k) % 3 for k in range(gate.arity))
         apps.append(GateApp(GateKind(gate, 0.3 + i if gate.takes_angle else None), qubits))
     return Circuit(3, tuple(apps))
@@ -397,7 +400,7 @@ GOLDEN_SOURCES = {
     "every_gate": _every_gate(list(Gate)),
     "every_gate_reversed": _every_gate(list(reversed(Gate))),
     # RZ's expansion names the ancilla, so the output opens with its X prep,
-    # ahead of RZ's whole span, leading H included.
+    # ahead of RZ's whole span, leading CCZ included.
     "rz_first": Circuit(3, (rz(0.5, 1), s(0), cz(0, 2), cs(1, 2), rz(-0.5, 2))),
     "mix_short": random_circuit(np.random.default_rng(4242), 3, 300, tags=SOURCE_TAGS),
     "mix_long": random_circuit(np.random.default_rng(4343), 5, 2200, tags=SOURCE_TAGS),
@@ -409,15 +412,15 @@ GOLDEN_SOURCES = {
 # sha256 of serialize_circuit, then rule_instances of S, CS and CZ.
 GOLDEN_LOWERINGS = {
     ("every_gate", "REAL_O2_CCZ"): (
-        "057c193f58b8368d3b7f976df5be5c2d7d43d226282788b8ef7daad48c771fd3", 12, 1, 1),
+        "798eb65074aa731eb8ace6ef5ef671a1802c35cf29548c856205fc5eaafe51c4", 1, 1, 1),
     ("every_gate_reversed", "REAL_O2_CCZ"): (
-        "867405c6f7d35966a9a31fef3c4891c83a42c3a0099d91c7932dadc79b48e31c", 12, 1, 1),
+        "6719ea923043854252d5710170d6cbe3a9559887ed984482eb0815f1e512abc2", 1, 1, 1),
     ("rz_first", "REAL_O2_CCZ"): (
-        "7b2f58a9802f84ccd0e6c85b2891c7251f49746a240182ae6e2c35b1addb2990", 9, 1, 1),
+        "bc49d93a1ae89b3eb47e7a1f9baf5c5ecd96225b90b8f8cb48463b3b10ca09ea", 1, 1, 1),
     ("mix_short", "REAL_O2_CCZ"): (
-        "ba05b7518d9ee181d198262477b24268e7f7af776ba0fb82222cef2300cf549d", 475, 40, 28),
+        "778c01e8b34987dc315b8269b18e7c2a8b5b65e4c0271fd71b533f6cff8ec2d1", 36, 40, 28),
     ("mix_long", "REAL_O2_CCZ"): (
-        "2402f1603d2cf8a77ea53156a5680cc300976fb5b8a8ee3fe7d0256f473d040a", 3264, 281, 297),
+        "00d77c15357edc5e291b2af03646cf18f725bbcf7f5f3759fc4f69d28c31ff36", 248, 281, 297),
     ("hccz_mix", "REAL_O2_CCZ"): (
         "bc944ef8031727c4984436575e291cca0afc8d2cc0f78d691763c038d00cbda1", 0, 115, 0),
     ("hccz_mix", "HCCZ"): (
@@ -440,6 +443,8 @@ def test_lowered_output_is_pinned(source, target):
     instances = low.rule_instances
     got = (digest, instances[Gate.S], instances[Gate.CS], instances[Gate.CZ])
     assert got == GOLDEN_LOWERINGS[source, target]
+    chk = verify_lowering(GOLDEN_SOURCES[source], low)
+    assert max(chk.distance, chk.catalyst_deficit, chk.leakage) <= 1e-12
 
 
 @pytest.mark.parametrize("source, target", sorted(GOLDEN_REJECTIONS))
@@ -594,11 +599,38 @@ def test_count_report_empty_lowering():
     assert rep.ancilla == 0
     assert rep.ccz_per_cs is None
     assert rep.ccz_per_s is None
+    assert rep.ccz_per_other_rule == {}
 
 
-def test_rates_cover_derived_s_gadgets():
-    # S gadgets born from an RX rewrite still set the per-S rate.
+def test_rates_cover_derived_rules():
+    # The RZ rule that an RX rewrite fires still reports its own rate.
     low = lower(circuit_of(1, GateApp(GateKind(Gate.RX, 0.7), (0,))), REAL_O2_CCZ)
     rep = count_report(low)
-    assert low.rule_instances[Gate.S] == 4  # S + three for the inverse
-    assert rep.ccz_per_s == 2.0
+    assert low.rule_instances[Gate.RX] == low.rule_instances[Gate.RZ] == 1
+    assert rep.ccz_per_other_rule == {"RX": 2.0, "RZ": 2.0}
+    assert rep.ccz_per_s is None
+
+
+def test_rule_costs():
+    ccz = {g: rule_cost(g).ccz for g in RULES}
+    assert ccz == {
+        Gate.CS: 2, Gate.S: 2, Gate.CZ: 1, Gate.SDG: 2, Gate.RX: 2, Gate.RZ: 2, Gate.Y: 0,
+    }
+    # Each is what one source gate adds to a lowering, the ancilla prep aside.
+    for gate in RULES:
+        low = lower(single_gate_circuit(gate, 0.3), REAL_O2_CCZ)
+        prep = len(low.ancilla_qubits)
+        assert rule_cost(gate) == (low.counts[Gate.CCZ], len(low.circuit.gates) - prep)
+
+
+def test_count_report_rates_every_rule_that_fired():
+    src = circuit_of(2, s(0), cs(0, 1), cz(0, 1), GateApp(GateKind(Gate.SDG), (1,)),
+                     GateApp(GateKind(Gate.Y), (0,)), rz(0.4, 1))
+    low = lower(src, REAL_O2_CCZ)
+    payload = json.loads(count_report(low).to_json())
+    assert list(payload) == [
+        "counts", "catalyst", "ancilla", "ccz_per_cs", "ccz_per_s",
+        "ccz_per_other_rule", "notes",
+    ]
+    assert payload["ccz_per_cs"] == payload["ccz_per_s"] == 2.0
+    assert payload["ccz_per_other_rule"] == {"CZ": 1.0, "SDG": 2.0, "RZ": 2.0, "Y": 0.0}

@@ -144,9 +144,21 @@ def test_synthesize_rx_via_conjugated_y_rotation():
     res = synthesize(rx(0.7))
     assert res.distance <= 1e-10
     assert check_membership(res.lowered.circuit, REAL_O2_CCZ) == []
-    # The sandwich costs four S-gadget applications around one RY.
-    assert res.lowered.rule_instances[Gate.S] == 4
+    # RX is H RZ H, and RZ one catalyst kick: one RY between two CCZ.
+    assert res.lowered.rule_instances[Gate.RX] == res.lowered.rule_instances[Gate.RZ] == 1
+    assert res.lowered.rule_instances[Gate.S] == 0
+    assert res.lowered.counts[Gate.CCZ] == 2
     assert res.lowered.counts[Gate.RY] == 1
+
+
+@pytest.mark.parametrize("m, ccz_max, gates_max", [(1, 2, 6), (2, 22, 53), (3, 122, 291)])
+def test_synthesized_cost_per_target(m, ccz_max, gates_max):
+    # CCZ (the paper's cost) and lowered gates per target, on acceptance
+    # criterion 06's seeds: one RZ kick per Y-Z-Y block, 2 CCZ per RZ.
+    for k in range(20):
+        res = synthesize(haar_su(1 << m, 100 * m + k))
+        assert res.lowered.counts[Gate.CCZ] <= ccz_max
+        assert len(res.lowered.circuit.gates) <= gates_max
 
 
 def test_synthesize_seeded_su4():
