@@ -30,7 +30,7 @@ from .ir import (
 )
 from .lowering import VERIFY_METHOD, LoweringError, check_lemmas, count_report, lower, verify_lowering
 from .sim import basis_state, product_state, run
-from .synth import VERIFY_TOL, SynthesisError, haar_su, parse_matrix, synthesize
+from .synth import SynthesisError, haar_su, parse_matrix, synthesize
 
 
 @dataclass
@@ -164,10 +164,9 @@ def cmd_synthesize(args: argparse.Namespace) -> RunReport:
         u = haar_su(dim, args.seed)
     result = synthesize(u)
     circuit_text = serialize_circuit(result.lowered.circuit)
-    residuals = (result.distance, result.catalyst_deficit, result.leakage)
     rep = RunReport(
         command="synthesize",
-        ok=all(r <= VERIFY_TOL for r in residuals),
+        ok=result.ok,
         metrics={
             "distance": result.distance,
             "ccz_count": float(result.lowered.counts[Gate.CCZ]),

@@ -14,7 +14,7 @@ import pytest
 from catalyq import cli
 from catalyq.cli import main
 from catalyq.ir import HCCZ, Gate, check_membership, gate_counts, parse_circuit
-from catalyq.synth import format_matrix
+from catalyq.synth import format_matrix, haar_su, synthesize
 
 CS_TEXT = "qubits 2\nCS 0 1\n"
 Y_TEXT = "qubits 1\nY 0\n"
@@ -308,6 +308,19 @@ def test_synthesize_nan_residual_is_not_ok(monkeypatch, capsys):
     code, payload, _ = run_json(["synthesize", "--m", "1", "--seed", "3"], capsys)
     assert code == 1
     assert payload["ok"] is False
+
+
+def test_synthesize_ok_is_the_library_verdict(monkeypatch, capsys):
+    # One definition of the bounds: a passing target is ok in both, and a
+    # distance between DECOMPOSE_TOL and VERIFY_TOL is ok in neither.
+    result = synthesize(haar_su(4, 7))
+    code, payload, _ = run_json(["synthesize", "--m", "2", "--seed", "7"], capsys)
+    assert code == 0 and payload["ok"] is True is result.ok
+    assert payload["metrics"]["distance"] == result.distance
+    tilted = dataclasses.replace(result, distance=5e-9)
+    monkeypatch.setattr(cli, "synthesize", lambda u: tilted)
+    code, payload, _ = run_json(["synthesize", "--m", "2", "--seed", "7"], capsys)
+    assert code == 1 and payload["ok"] is False is tilted.ok
 
 
 def test_synthesize_dimension_mismatch(tmp_path, capsys):

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyq.ir import REAL_O2_CCZ, Gate, GateKind, check_membership, gate_counts
 from catalyq.sim import circuit_unitary, gate_matrix, phase_aligned_distance
-from catalyq import synth
+from catalyq import lowering, sim, synth
 from catalyq.sim import Induced
 from catalyq.synth import (
+    DECOMPOSE_TOL,
     VERIFY_TOL,
     SynthesisError,
     decompose_su2m,
@@ -62,6 +66,58 @@ def test_one_qubit_rotation_emits_one_gate_of_its_family(family):
             assert gates == []
         else:
             assert len(gates) == 1 and gates[0] in allowed
+
+
+NAMED = (None, Gate.X, Gate.Z, Gate.H, Gate.S, Gate.SDG)
+NEAR_TURNS = (0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi)
+
+
+@st.composite
+def one_qubit_cases(draw):
+    """(u, at_most_one_gate): a Haar block, a phased named gate nudged by
+    +-1e-14 per component, or a pure RX, RY or RZ near a multiple of pi."""
+    kind = draw(st.sampled_from(["haar", "named", "rotation"]))
+    if kind == "haar":
+        return haar_su(2, draw(st.integers(0, 2**32 - 1))), False
+    if kind == "named":
+        gate = draw(st.sampled_from(NAMED))
+        u = np.eye(2, dtype=complex) if gate is None else gate_matrix(GateKind(gate))
+        nudge = draw(st.lists(st.sampled_from((-1e-14, 0.0, 1e-14)), min_size=8, max_size=8))
+        nudge = np.reshape(nudge, (2, 2, 2))
+        phase = draw(st.floats(-math.pi, math.pi))
+        return np.exp(1j * phase) * u + nudge[0] + 1j * nudge[1], True
+    family = draw(st.sampled_from([Gate.RX, Gate.RY, Gate.RZ]))
+    angle = draw(st.sampled_from(NEAR_TURNS)) + draw(st.floats(-1e-6, 1e-6))
+    return gate_matrix(GateKind(family, angle)), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_qubit_cases())
+def test_scalar_emission_reproduces_the_block(case):
+    u, at_most_one_gate = case
+    got, gates = emitted_matrix(u)
+    assert equal_up_to_phase(got, u, 1e-12)
+    if at_most_one_gate:
+        assert len(gates) <= 1
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_direct_gees_is_bitwise_scipy_schur(dim):
+    for seed in range(20):
+        prod = haar_unitary(dim, seed) @ haar_unitary(dim, 1000 + seed).conj().T
+        t_mat, _, _, v, _, info = synth._gees()(synth._no_sort, prod)
+        want_t, want_v = scipy.linalg.schur(prod, output="complex")
+        assert info == 0
+        assert np.array_equal(t_mat, want_t) and np.array_equal(v, want_v)
+
+
+def test_failed_schur_raises(monkeypatch):
+    def failing(select, a):
+        return a, 0, np.diag(a), a, np.zeros(1), 1
+
+    monkeypatch.setattr(synth, "_gees", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="Schur form not found"):
+        synthesize(haar_su(4, 1))
 
 
 # --- decompose_su2m ---
@@ -186,16 +242,56 @@ def test_synthesize_reports_stage_timings_and_method():
     assert res.method == "dense_columns"
 
 
-@pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
+@pytest.mark.parametrize("field", ["distance", "catalyst_deficit", "leakage"])
 def test_synthesize_checks_every_residual(monkeypatch, field):
-    # The block is exactly the target, so only the other residual can fail
-    # it, and a NaN residual must fail it as surely as a large one.
+    # Only the named residual is off, and a NaN must fail it as surely as a
+    # large value. The distance bound is DECOMPOSE_TOL, so 5e-9, inside the
+    # VERIFY_TOL that bounds the other two, fails.
     target = np.diag([1.0, 1j])
-    for value in (1e-6, float("nan")):
-        residuals = {"catalyst_deficit": 0.0, "leakage": 0.0, field: value}
-        monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=target, **residuals))
+    for value in (5e-9 if field == "distance" else 1e-6, float("nan")):
+        block, residuals = target, {"catalyst_deficit": 0.0, "leakage": 0.0}
+        if field == "distance":
+            tilt = value * math.sqrt(2.0)  # at distance tilt / sqrt(2)
+            block = target @ np.diag([np.exp(-1j * tilt), np.exp(1j * tilt)])
+            if not math.isnan(value):
+                assert DECOMPOSE_TOL < phase_aligned_distance(block, target) < VERIFY_TOL
+        else:
+            residuals[field] = value
+        monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=block, **residuals))
         with pytest.raises(SynthesisError, match="verification failed"):
             synthesize(target)
+
+
+def test_synthesize_makes_one_dense_pass(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sim, "evolve_columns", counting("evolve_columns", sim.evolve_columns))
+    for mod in (sim, lowering, synth):
+        if hasattr(mod, "circuit_unitary"):
+            monkeypatch.setattr(
+                mod, "circuit_unitary", counting("circuit_unitary", mod.circuit_unitary))
+    synthesize(haar_su(8, 11))
+    assert calls == ["evolve_columns"]
+
+
+def test_a_decomposition_fault_is_caught(monkeypatch):
+    # Drop the last gate of the top-level recursion: the lowered circuit's
+    # check must see it in synthesize, and the self-check in decompose_su2m.
+    real = synth._qsd
+    monkeypatch.setattr(
+        synth, "_qsd", lambda u, qubits: real(u, qubits)[: -1 if len(qubits) == 3 else None]
+    )
+    u = haar_su(8, 5)
+    with pytest.raises(SynthesisError, match="verification failed"):
+        synthesize(u)
+    with pytest.raises(SynthesisError, match="self-check failed"):
+        decompose_su2m(u)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
