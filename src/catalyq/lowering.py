@@ -1,9 +1,11 @@
 """Gate-set lowering via catalytic gadget rewrite rules.
 
 ``lower`` rewrites a circuit so every gate lands in a target gate set,
-spending at most one catalyst wire (|+i>, appended after the data wires) and
-at most one ancilla wire (|0>, appended last). Data wires keep their source
-indices.
+spending at most one catalyst wire (|+i>, appended after the data wires or
+named by the source) and at most one ancilla wire (|0>, appended last). Data
+wires keep their source indices. A source that names its catalyst (``synth``'s
+decompositions do) has its operator read with that wire fed |+i> and read out
+through <+i|, and must return it too.
 
 ``RULES`` is the only rule table. Each entry expands a gate over its own
 operands, the catalyst ``c`` and the ancilla ``a``:
@@ -70,7 +72,6 @@ from .sim import (
     KET_0,
     KET_1,
     KET_PLUS_I,
-    circuit_unitary,
     gate_matrix,
     phase_aligned_distance,
 )
@@ -183,13 +184,17 @@ def rule_cost(gate: Gate) -> RuleCost:
     return RuleCost(sum(g is Gate.CCZ for g, _, _ in plan.gates), len(plan.gates))
 
 
-def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
+def lower(c: Circuit, target: GateSetProfile, catalyst: int | None = None) -> LoweredCircuit:
     """Rewrite ``c`` into ``target``; raises LoweringError if any gate can't go.
 
-    Each angle-free emitted gate is built once per (tag, wires) for the whole
-    call and shared by every span that emits it, whatever the source gate;
-    angled ones are built fresh, one per source gate.
+    ``catalyst`` names a wire of ``c`` that is already a |+i> catalyst: the
+    rules kick it instead of an appended one, and only the ancilla is
+    appended. Each angle-free emitted gate is built once per (tag, wires) for
+    the whole call and shared by every span that emits it, whatever the source
+    gate; angled ones are built fresh, one per source gate.
     """
+    if catalyst is not None and not 0 <= catalyst < c.num_qubits:
+        raise LoweringError(f"catalyst wire {catalyst} is outside the source's {c.num_qubits}")
     kinds = Counter(map(tag_of, c.gates))
     plans = {gate: _plan(gate, target) for gate in kinds}
     for gate, plan in plans.items():
@@ -197,8 +202,20 @@ def lower(c: Circuit, target: GateSetProfile) -> LoweredCircuit:
             i = next(i for i, app in enumerate(c.gates) if app.kind.gate is gate)
             raise LoweringError(f"gate {i} ({gate.value}) is not lowerable to {target.name}")
     wires = {w for p in plans.values() for _, _, ws in p.gates for w in ws}
-    need_cat, need_anc = C in wires, A in wires
-    cat = c.num_qubits if need_cat else None
+    need_anc = A in wires
+    if catalyst is None:
+        need_cat = C in wires
+        cat = c.num_qubits if need_cat else None
+    else:
+        need_cat, cat = False, catalyst
+        # A rule assumes its catalyst is a wire apart, so none may rewrite a gate on it.
+        kicks = {g for g, p in plans.items() if any(C in ws for _, _, ws in p.gates)}
+        for i, app in enumerate(c.gates):
+            if catalyst in app.qubits and app.kind.gate in kicks:
+                raise LoweringError(
+                    f"gate {i} ({app.kind.gate.value}) acts on catalyst wire {catalyst}"
+                    " and its rule kicks the catalyst"
+                )
     anc = c.num_qubits + need_cat if need_anc else None
 
     # The ancilla's one X prep comes first; after it each source gate is one span.
@@ -347,25 +364,40 @@ def check_lemmas() -> float:
     )
 
 
+def induce_source(source: Circuit, catalyst: int | None) -> sim.Induced:
+    """``sim.induce`` of a source circuit: its whole unitary, or, when it names
+    a ``catalyst`` wire, its operator on the other wires with that one fed
+    |+i> and read out through <+i|."""
+    kets = {} if catalyst is None else {catalyst: KET_PLUS_I}
+    return sim.induce(source, kets, kets, catalyst)
+
+
 @dataclass(frozen=True)
 class LoweringCheck:
     ok: bool
     distance: float
     catalyst_deficit: float
     leakage: float
+    source_catalyst_deficit: float  # 0.0 unless the source names its catalyst
 
 
 def verify_lowering(source: Circuit, lowered: LoweredCircuit) -> LoweringCheck:
-    """Dense check that the lowering induces the source unitary on data wires.
+    """Dense check that the lowering induces the source's operator on data wires.
 
-    Distance is global-phase aligned against the source circuit's unitary; ``ok``
-    needs it, the catalyst deficit and the leakage all within ``LOWERING_TOL``.
+    That operator is the source's unitary, or, if the lowering kicks a
+    catalyst wire of the source's own, ``induce_source`` with it fixed.
+    Distance is global-phase aligned against it; ``ok`` needs it, both
+    circuits' catalyst deficits and the leakage all within ``LOWERING_TOL``.
     """
     got = induce(lowered)
-    distance = phase_aligned_distance(got.block, circuit_unitary(source))
+    cat = lowered.catalyst_qubit
+    want = induce_source(source, cat if cat is not None and cat < source.num_qubits else None)
+    distance = phase_aligned_distance(got.block, want.block)
+    residuals = (distance, got.catalyst_deficit, got.leakage, want.catalyst_deficit)
     return LoweringCheck(
-        ok=all(r <= LOWERING_TOL for r in (distance, got.catalyst_deficit, got.leakage)),
+        ok=all(r <= LOWERING_TOL for r in residuals),
         distance=distance,
         catalyst_deficit=got.catalyst_deficit,
         leakage=got.leakage,
+        source_catalyst_deficit=want.catalyst_deficit,
     )

@@ -2,29 +2,33 @@
 
 ``decompose_su2m`` turns a 2^m x 2^m unitary (m <= 3) into single-qubit gates
 plus CZ using a cosine-sine recursion: the matrix splits as
-(A1 (+) A2) . multiplexed-RY . (B1 (+) B2), each block-diagonal multiplexor
-demultiplexes into local unitaries around a multiplexed RZ, and multiplexed
-rotations unroll into CX ladders (CX inlined as H CZ H). Each one-qubit block
-left is emitted Y-Z-Y: RY and H are in the target set, so only its one RZ
-costs CCZ (2) once lowered. Worst case for m = 3 is 42 CZ, and every dropped
-single-qubit phase is global, so the result matches the input in
-phase-aligned distance at working precision.
+(A1 (+) A2) . multiplexed-RY . (B1 (+) B2), and each block-diagonal
+multiplexor demultiplexes into local unitaries around a multiplexed RZ. That
+RZ is one catalyst kick: a multiplexed RY on a |+i> catalyst, wire m, between
+two CZ(select, catalyst). |+i> is an RY eigenstate, so each RY there is a
+phase, and the CZs flip its sign when the select wire is 1. The catalyst
+returns as it came, and wire m exists only if some centre kicks it. Every
+multiplexed RY unrolls into a CZ ladder (Z, like X, flips an RY), 2^k CZ for
+k controls, so a kicked centre costs 2^k + 2 CZ. Each one-qubit block left is
+emitted Y-Z-Y: RY and H are in the target set, so only its one RZ costs CCZ
+(2) once lowered. Every dropped single-qubit phase is global, so the result
+matches the input in phase-aligned distance at working precision.
 
-``synthesize`` chains that with the catalytic lowering pass, yielding a
-circuit over {H, X, Z, RY, CCZ} plus one |+i> catalyst and one X-prepped
-ancilla. It is verified by one dense pass over the lowered circuit, which
-must reproduce the input to distance 1e-9; the decomposition is not checked
-on its own in between.
+``synthesize`` chains that with the catalytic lowering pass, which kicks the
+same catalyst wire, yielding a circuit over {H, X, Z, RY, CCZ} plus one |+i>
+catalyst and one X-prepped ancilla. It is verified by one dense pass over
+the lowered circuit, which must reproduce the input to distance 1e-9; the
+decomposition is not checked on its own in between.
 
 Haar sampling is pinned for reproducibility: numpy ``default_rng(seed)``
 (PCG64), a Ginibre matrix (randn + i randn)/sqrt(2), QR, then the Q columns
 rephased by diag(R)/|diag(R)|; SU projection divides by det^(1/dim).
 
-scipy.linalg (the cosine-sine factorization, and LAPACK's complex Schur
-routine, called directly) is imported by the recursion on its first use, not
-with the package: ``ir``, ``lowering`` and ``sim`` never need it, and loading
-it would add about 0.25 s to every start and some 16k objects for each full
-garbage collection to walk.
+scipy.linalg (for LAPACK's cosine-sine and complex Schur routines, called
+directly) is imported by the recursion on its first use, not with the
+package: ``ir``, ``lowering`` and ``sim`` never need it, and loading it would
+add about 0.25 s to every start and some 16k objects for each full garbage
+collection to walk.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz, h
-from .lowering import VERIFY_METHOD, LoweredCircuit, induce, lower
-from .sim import circuit_unitary, gate_matrix, phase_aligned_distance
+from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz
+from .lowering import VERIFY_METHOD, LoweredCircuit, induce, induce_source, lower
+from .sim import gate_matrix, phase_aligned_distance
 
 
 class SynthesisError(ValueError):
@@ -150,26 +154,28 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
     )
 
 
-def _cx(ctrl: int, target: int) -> list[GateApp]:
-    return [h(target), cz(ctrl, target), h(target)]
+def _ucry(angles: np.ndarray, ctrls: list[int], target: int) -> list[GateApp]:
+    """Multiplexed RY: apply RY(angles[s]) to ``target`` for control state s.
 
-
-def _ucr(gate: Gate, angles: np.ndarray, ctrls: list[int], target: int) -> list[GateApp]:
-    """Multiplexed rotation: apply ``gate(angles[s])`` for control state s.
-
-    Angle index s reads the controls MSB-first. Uses the CX-ladder recursion;
-    an all-zero half collapses and its CX pair cancels.
+    Angle index s reads the controls MSB-first. CZ-ladder recursion (Z, like X,
+    flips the sign of an RY): the half-difference multiplexor between two
+    CZ(ctrls[0], target), then the half-sum one. The first is laid out
+    reversed, which is the same multiplexor, so it ends with the CZ that opens
+    the second; that pair commutes with the CZ between them and cancels, which
+    leaves 2^k CZ for k controls. An all-zero half collapses with its CZ pair.
     """
     if not ctrls:
-        return _rot(gate, float(angles[0]), target)
+        return _rot(Gate.RY, float(angles[0]), target)
     half = len(angles) // 2
     lo, hi = angles[:half], angles[half:]
-    inner_diff = _ucr(gate, (lo - hi) / 2.0, ctrls[1:], target)
-    inner_sum = _ucr(gate, (lo + hi) / 2.0, ctrls[1:], target)
-    if not inner_diff:
-        return inner_sum
-    ladder = _cx(ctrls[0], target)
-    return ladder + inner_diff + ladder + inner_sum
+    diff = _ucry((lo - hi) / 2.0, ctrls[1:], target)[::-1]
+    summ = _ucry((lo + hi) / 2.0, ctrls[1:], target)
+    if not diff:
+        return summ
+    ladder = cz(ctrls[0], target)
+    if summ and diff[-1].kind.gate is Gate.CZ and diff[-1] == summ[0]:
+        return [ladder, *diff[:-1], ladder, *summ[1:]]
+    return [ladder, *diff, ladder, *summ]
 
 
 @functools.cache
@@ -184,11 +190,28 @@ def _no_sort(_eigenvalue: complex) -> None:
     return None
 
 
+@functools.cache
+def _uncsd(dim: int):
+    """LAPACK's complex cosine-sine routine, the one ``scipy.linalg.cossin``
+    calls, bound to its workspace for a ``dim`` x ``dim`` matrix cut in halves."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    csd, csd_lwork = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
+    half = dim // 2
+    lwork, lrwork, info = csd_lwork(m=dim, p=half, q=half)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"CS workspace query failed (uncsd info {info})")
+    return functools.partial(csd, lwork=int(lwork.real), lrwork=int(lrwork))
+
+
 def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> list[GateApp]:
     """Circuit for blk0 (+) blk1 selected by ``select``: V, mRZ, W sandwich.
 
     blk0 blk1^dag = V D^2 V^dag (Schur), W = D V^dag blk1, so the multiplexor
-    equals (I (x) V) (D (+) D^dag) (I (x) W) with D diagonal.
+    equals (I (x) V) (D (+) D^dag) (I (x) W) with D diagonal. The centre, RZ on
+    ``select`` multiplexed by ``rest``, is one catalyst kick: a multiplexed RY
+    on the |+i> catalyst, an RY eigenstate, between two CZ(select, catalyst),
+    which flip the sign of each RY, and so of its phase, when ``select`` is 1.
     """
     prod = blk0 @ blk1.conj().T
     # The blocks are at most 4x4, so LAPACK takes its unblocked path and the
@@ -198,20 +221,26 @@ def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> 
         raise np.linalg.LinAlgError(f"Schur form not found (gees info {info})")
     lam = np.angle(np.diag(t_mat)) / 2.0
     w = (np.exp(1j * lam)[:, None] * v.conj().T) @ blk1
-    return _qsd(w, rest) + _ucr(Gate.RZ, -2.0 * lam, rest, select) + _qsd(v, rest)
+    # ``rest`` always ends at wire m - 1, so the catalyst, wire m, follows it.
+    cat = rest[-1] + 1
+    kick = _ucry(-2.0 * lam, rest, cat)
+    centre = [cz(select, cat), *kick, cz(select, cat)] if kick else []
+    return _qsd(w, rest) + centre + _qsd(v, rest)
 
 
 def _qsd(u: np.ndarray, qubits: list[int]) -> list[GateApp]:
     if len(qubits) == 1:
         return _emit_1q(u, qubits[0])
-    import scipy.linalg
-
     half = u.shape[0] // 2
-    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
+    *_, theta, u1, u2, v1h, v2h, info = _uncsd(u.shape[0])(
+        u[:half, :half], u[:half, half:], u[half:, :half], u[half:, half:]
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"CS decomposition not found (uncsd info {info})")
     select, rest = qubits[0], qubits[1:]
     return (
         _demux(v1h, v2h, select, rest)
-        + _ucr(Gate.RY, 2.0 * np.asarray(theta), rest, select)
+        + _ucry(2.0 * theta, rest, select)
         + _demux(u1, u2, select, rest)
     )
 
@@ -222,17 +251,28 @@ def _decompose(u: np.ndarray) -> Circuit:
     m = dim.bit_length() - 1
     if dim != 1 << m or m not in (1, 2, 3):
         raise SynthesisError(f"dimension {dim} is not 2^m with m in 1..3")
-    return Circuit(m, tuple(_qsd(u, list(range(m)))))
+    gates = tuple(_qsd(u, list(range(m))))
+    # Wire m, the catalyst, exists only if some gate uses it.
+    return Circuit(m + any(app.top == m for app in gates), gates)
+
+
+def _catalyst(circuit: Circuit, dim: int) -> int | None:
+    """The catalyst wire of a decomposition of a ``dim``-dimensional target, if any."""
+    m = dim.bit_length() - 1
+    return m if circuit.num_qubits > m else None
 
 
 def decompose_su2m(u: np.ndarray) -> Circuit:
     """Decompose a 2^m x 2^m unitary (m in {1,2,3}) over 1q gates plus CZ.
 
-    Self-checks the reconstruction to phase-aligned distance ``DECOMPOSE_TOL``.
+    Wire m, when present, is a |+i> catalyst that every multiplexed RZ kicks
+    and that comes back: the target is the operator the circuit induces on
+    wires 0..m-1 with wire m fed |+i> and read out through <+i|. Self-checks
+    that operator to phase-aligned distance ``DECOMPOSE_TOL``.
     """
     u = _check_unitary(u)
     circuit = _decompose(u)
-    dist = phase_aligned_distance(circuit_unitary(circuit), u)
+    dist = phase_aligned_distance(induce_source(circuit, _catalyst(circuit, u.shape[0])).block, u)
     if not dist <= DECOMPOSE_TOL:
         raise SynthesisError(f"decomposition self-check failed (distance {dist:.3e})")
     return circuit
@@ -276,7 +316,7 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
     t0 = time.perf_counter()
     source = _decompose(u)
     t1 = time.perf_counter()
-    lowered = lower(source, REAL_O2_CCZ)
+    lowered = lower(source, REAL_O2_CCZ, _catalyst(source, u.shape[0]))
     t2 = time.perf_counter()
     got = induce(lowered)
     distance = phase_aligned_distance(got.block, u)

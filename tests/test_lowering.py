@@ -189,6 +189,52 @@ def test_catalyst_only_when_no_rule_needs_ancilla():
     assert low.ancilla_qubits == ()
 
 
+def test_named_catalyst_is_kicked_in_place():
+    # Wire 2 is the source's |+i> catalyst: RZ kicks it, CZ(1, 2) flips it
+    # back and forth around an RY, and only the ancilla is appended.
+    src = circuit_of(3, rz(0.9, 0), cz(1, 2), ry(0.7, 2), cz(1, 2), h(1))
+    low = lower(src, REAL_O2_CCZ, catalyst=2)
+    assert low.circuit.num_qubits == 4
+    assert low.catalyst_qubit == 2 and low.ancilla_qubits == ((3, "0"),)
+    chk = verify_lowering(src, low)
+    assert chk.ok, chk
+    assert chk.source_catalyst_deficit <= 1e-12
+    # The same gates with no catalyst named: wire 2 is data, a catalyst is appended.
+    plain = lower(src, REAL_O2_CCZ)
+    assert plain.catalyst_qubit == 3 and plain.circuit.num_qubits == 5
+
+
+def test_named_catalyst_without_a_kick_stays_named():
+    src = circuit_of(2, cz(0, 1), ry(0.3, 1), cz(0, 1))
+    low = lower(src, REAL_O2_CCZ, catalyst=1)
+    assert low.catalyst_qubit == 1 and low.ancilla_qubits == ((2, "0"),)
+    assert verify_lowering(src, low).ok
+
+
+def test_a_source_that_spends_its_catalyst_fails_verification():
+    # RY(0.7) on |+i> is a phase, but H sends it to |-i>: the source itself
+    # does not return its catalyst, and its lowering cannot either.
+    src = circuit_of(2, ry(0.7, 1), h(1))
+    chk = verify_lowering(src, lower(src, REAL_O2_CCZ, catalyst=1))
+    assert not chk.ok
+    assert chk.source_catalyst_deficit == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("wire", [-1, 3, 40])
+def test_catalyst_outside_the_source_is_refused(refuse_big_arrays, wire):
+    with pytest.raises(LoweringError, match="outside"):
+        lower(circuit_of(3, s(0)), REAL_O2_CCZ, catalyst=wire)
+
+
+@pytest.mark.parametrize("app", [s(2), rz(0.4, 2), rx(0.2, 2), cs(0, 2)])
+def test_a_rule_may_not_rewrite_a_gate_on_the_named_catalyst(app):
+    # Each of these rules kicks the catalyst, so on the catalyst it cannot hold.
+    # (CZ's rule needs only the ancilla, so CZ(x, catalyst) lowers.)
+    src = circuit_of(3, h(0), app)
+    with pytest.raises(LoweringError, match="gate 1 .* catalyst wire 2"):
+        lower(src, REAL_O2_CCZ, catalyst=2)
+
+
 # --- pinned examples ---
 
 def test_lower_cs_to_hccz():

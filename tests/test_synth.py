@@ -8,8 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalyq.ir import REAL_O2_CCZ, Gate, GateKind, check_membership, gate_counts
-from catalyq.sim import circuit_unitary, gate_matrix, phase_aligned_distance
+from catalyq.ir import REAL_O2_CCZ, Circuit, Gate, GateKind, check_membership, cz, gate_counts
+from catalyq.sim import gate_matrix, phase_aligned_distance
 from catalyq import lowering, sim, synth
 from catalyq.sim import Induced
 from catalyq.synth import (
@@ -120,19 +120,89 @@ def test_failed_schur_raises(monkeypatch):
         synthesize(haar_su(4, 1))
 
 
+def cossin_inputs(dim):
+    """Haar unitaries, then degenerate ones: the identity, a CZ-type
+    diagonal, the swap of the two halves, and a Haar block sum."""
+    yield from (haar_unitary(dim, seed) for seed in range(10))
+    yield np.eye(dim, dtype=complex)
+    yield np.diag([1.0] * (dim - 1) + [-1.0]).astype(complex)
+    yield np.roll(np.eye(dim, dtype=complex), dim // 2, axis=0)
+    half = dim // 2
+    yield scipy.linalg.block_diag(haar_unitary(half, 1), haar_unitary(half, 2))
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_direct_uncsd_is_bitwise_scipy_cossin(dim):
+    half = dim // 2
+    for u in cossin_inputs(dim):
+        *_, theta, u1, u2, v1h, v2h, info = synth._uncsd(dim)(
+            u[:half, :half], u[:half, half:], u[half:, :half], u[half:, half:]
+        )
+        (want_u1, want_u2), want_theta, (want_v1h, want_v2h) = scipy.linalg.cossin(
+            u, p=half, q=half, separate=True
+        )
+        assert info == 0
+        for got, want in ((theta, want_theta), (u1, want_u1), (u2, want_u2),
+                          (v1h, want_v1h), (v2h, want_v2h)):
+            assert np.array_equal(got, want)
+
+
+def test_failed_cs_decomposition_raises(monkeypatch):
+    def failing(x11, x12, x21, x22):
+        return x11, x12, x21, x22, np.zeros(2), x11, x22, x11, x22, 3
+
+    monkeypatch.setattr(synth, "_uncsd", lambda dim: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="CS decomposition not found"):
+        synthesize(haar_su(4, 1))
+
+
+def multiplexed_ry(angles):
+    """RY(angles[s]) on the last wire for each state s of the ones before it."""
+    return scipy.linalg.block_diag(*(gate_matrix(GateKind(Gate.RY, t)) for t in angles))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multiplexed_ry_is_a_cz_ladder_of_2_to_the_k(k):
+    rng = np.random.default_rng(k)
+    for angles in (rng.uniform(-4.0, 4.0, 1 << k), np.zeros(1 << k), np.full(1 << k, 0.4)):
+        gates = synth._ucry(angles, list(range(k)), k)
+        got = sim.circuit_unitary(Circuit(k + 1, tuple(gates)))
+        assert phase_aligned_distance(got, multiplexed_ry(angles)) <= 1e-14
+        assert {app.kind.gate for app in gates} <= {Gate.RY, Gate.CZ}
+        ladder = sum(app.kind.gate is Gate.CZ for app in gates)
+        assert ladder == ((1 << k) if np.ptp(angles) else 0)
+
+
 # --- decompose_su2m ---
+
+def decomposed_operator(c, m):
+    """The operator ``decompose_su2m``'s circuit induces on wires 0..m-1, with
+    wire m, when present, fed the |+i> catalyst and read out through <+i|."""
+    assert c.num_qubits in (m, m + 1)
+    kets = {m: sim.KET_PLUS_I} if c.num_qubits > m else {}
+    got = sim.induce(c, kets, kets, m if kets else None)
+    assert got.catalyst_deficit <= 1e-12
+    return got.block
+
+
+def lowered_cost(c):
+    """CCZ the circuit lowers to: 1 per CZ, 2 per RZ (Haar targets emit no S, SDG or RX)."""
+    counts = gate_counts(c)
+    return counts[Gate.CZ] + 2 * counts[Gate.RZ]
+
 
 def test_decompose_identity_m2():
     c = decompose_su2m(np.eye(4, dtype=complex))
-    assert phase_aligned_distance(circuit_unitary(c), np.eye(4)) <= 1e-12
+    assert c.num_qubits == 2  # nothing kicks the catalyst, so it is not there
+    assert phase_aligned_distance(decomposed_operator(c, 2), np.eye(4)) <= 1e-12
     assert gate_counts(c)[Gate.CZ] == 0
 
 
 def test_decompose_cz_diagonal():
     target = np.diag([1.0, 1, 1, -1]).astype(complex)
     c = decompose_su2m(target)
-    assert phase_aligned_distance(circuit_unitary(c), target) <= 1e-12
-    assert gate_counts(c)[Gate.CZ] <= 2
+    assert phase_aligned_distance(decomposed_operator(c, 2), target) <= 1e-12
+    assert lowered_cost(c) <= 6
 
 
 def test_decompose_vocabulary_is_one_qubit_plus_cz():
@@ -140,14 +210,18 @@ def test_decompose_vocabulary_is_one_qubit_plus_cz():
     c = decompose_su2m(u)
     for app in c.gates:
         assert app.kind.gate.arity == 1 or app.kind.gate is Gate.CZ
+        # The catalyst, wire 3, is only rotated about Y and kicked by CZ.
+        if 3 in app.qubits:
+            assert app.kind.gate in (Gate.RY, Gate.CZ)
 
 
 def test_decompose_seeded_su8_bound():
     u = haar_su(8, 42)
     c = decompose_su2m(u)
-    assert phase_aligned_distance(circuit_unitary(c), u) <= 1e-9
-    # worst case for three qubits; the recursion never exceeds it
-    assert gate_counts(c)[Gate.CZ] <= 42
+    assert phase_aligned_distance(decomposed_operator(c, 3), u) <= 1e-9
+    # Worst case for three qubits: 56 CZ (a 4-CZ ladder, two 6-CZ kicked
+    # centres, four two-qubit blocks of 10) and 16 RZ, one per one-qubit block.
+    assert lowered_cost(c) <= 88
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -155,8 +229,8 @@ def test_decompose_random_seeds(m):
     for seed in range(5):
         u = haar_su(1 << m, 300 * m + seed)
         c = decompose_su2m(u)
-        assert c.num_qubits == m
-        assert phase_aligned_distance(circuit_unitary(c), u) <= 1e-9
+        assert c.num_qubits == (m if m == 1 else m + 1)
+        assert phase_aligned_distance(decomposed_operator(c, m), u) <= 1e-9
 
 
 def test_decompose_rejects_bad_dimensions():
@@ -207,14 +281,85 @@ def test_synthesize_rx_via_conjugated_y_rotation():
     assert res.lowered.counts[Gate.RY] == 1
 
 
-@pytest.mark.parametrize("m, ccz_max, gates_max", [(1, 2, 6), (2, 22, 53), (3, 122, 291)])
+@pytest.mark.parametrize("m, ccz_max, gates_max", [(1, 2, 6), (2, 18, 37), (3, 88, 173)])
 def test_synthesized_cost_per_target(m, ccz_max, gates_max):
     # CCZ (the paper's cost) and lowered gates per target, on acceptance
-    # criterion 06's seeds: one RZ kick per Y-Z-Y block, 2 CCZ per RZ.
+    # criterion 06's seeds: one RZ kick per Y-Z-Y block, 2 CCZ per RZ, and
+    # one catalyst kick per multiplexed RZ, 2^k + 2 CCZ for k controls.
     for k in range(20):
         res = synthesize(haar_su(1 << m, 100 * m + k))
         assert res.lowered.counts[Gate.CCZ] <= ccz_max
         assert len(res.lowered.circuit.gates) <= gates_max
+
+
+def permutation(images):
+    """The unitary sending basis state i to basis state images[i]."""
+    u = np.zeros((len(images), len(images)), dtype=complex)
+    u[images, range(len(images))] = 1.0
+    return u
+
+
+_CH = np.eye(4, dtype=complex)
+_CH[2:, 2:] = gate_matrix(GateKind(Gate.H))
+STRUCTURED = {
+    "identity": np.eye(4, dtype=complex),
+    "CZ": np.diag([1.0, 1, 1, -1]).astype(complex),
+    "CS": np.diag([1.0, 1, 1, 1j]),
+    "SWAP": permutation([0, 2, 1, 3]),
+    "CNOT": permutation([0, 1, 3, 2]),
+    "controlled-H": _CH,
+    "repeated-phase diagonal": np.diag(np.exp(1j * np.array([0.3, 0.3, -1.1, 0.3]))),
+    "CCZ": np.diag([1.0] * 7 + [-1.0]).astype(complex),
+    "Toffoli": permutation([0, 1, 2, 3, 4, 5, 7, 6]),
+}
+HAAR_CCZ_PIN = {2: 18, 3: 88}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_targets(name):
+    # Degenerate Schur and cosine-sine spectra: still exact, one catalyst,
+    # one ancilla, and no dearer than a Haar target of the same width.
+    u = STRUCTURED[name]
+    m = u.shape[0].bit_length() - 1
+    res = synthesize(u)
+    assert res.ok
+    assert res.lowered.circuit.num_qubits <= m + 2
+    assert len(res.lowered.ancilla_qubits) <= 1
+    assert res.lowered.counts[Gate.CCZ] <= HAAR_CCZ_PIN[m]
+
+
+def test_lowering_a_source_that_names_its_catalyst():
+    u = haar_su(8, 9)
+    source = decompose_su2m(u)
+    low = lowering.lower(source, REAL_O2_CCZ, catalyst=3)
+    # The source's catalyst is kicked in place: one catalyst, then the ancilla.
+    assert low.catalyst_qubit == 3 and low.ancilla_qubits == ((4, "0"),)
+    chk = lowering.verify_lowering(source, low)
+    assert chk.ok, chk
+    assert chk.source_catalyst_deficit <= 1e-12
+    assert phase_aligned_distance(lowering.induce(low).block, u) <= 1e-9
+
+
+def test_a_dropped_catalyst_kick_is_caught(monkeypatch):
+    # Drop the first CZ(select, catalyst) of a kicked centre: the catalyst
+    # leaves as |-i> whenever wire 0 is 1 there.
+    real = synth._decompose
+
+    def dropping(u):
+        c = real(u)
+        i = c.gates.index(cz(0, c.num_qubits - 1))
+        return Circuit(c.num_qubits, c.gates[:i] + c.gates[i + 1:])
+
+    u = haar_su(4, 6)
+    source = dropping(u)
+    chk = lowering.verify_lowering(source, lowering.lower(source, REAL_O2_CCZ, catalyst=2))
+    assert not chk.ok
+    assert chk.source_catalyst_deficit > 0.1 and chk.catalyst_deficit > 0.1
+    monkeypatch.setattr(synth, "_decompose", dropping)
+    with pytest.raises(SynthesisError, match="verification failed"):
+        synthesize(u)
+    with pytest.raises(SynthesisError, match="self-check failed"):
+        decompose_su2m(u)
 
 
 def test_synthesize_seeded_su4():
