@@ -317,8 +317,9 @@ def count_report(lowered: LoweredCircuit) -> CountReport:
 
 # The check ``induce`` makes, as reports name it: a dense pass over all data columns.
 VERIFY_METHOD = "dense_columns"
-# Largest distance, catalyst deficit and leakage ``verify_lowering`` passes.
-LOWERING_TOL = 1e-10
+# Largest residual (distance, catalyst deficit or leakage) any dense check
+# passes: ``verify_lowering``, ``synth.synthesize`` and ``synth.decompose_su2m``.
+VERIFY_TOL = 1e-10
 
 
 def induce(lowered: LoweredCircuit) -> sim.Induced:
@@ -374,30 +375,41 @@ def induce_source(source: Circuit, catalyst: int | None) -> sim.Induced:
 
 @dataclass(frozen=True)
 class LoweringCheck:
-    ok: bool
+    """The residuals of one dense check; ``ok`` is the only verdict on them."""
+
     distance: float
     catalyst_deficit: float
     leakage: float
     source_catalyst_deficit: float  # 0.0 unless the source names its catalyst
+
+    @property
+    def ok(self) -> bool:
+        """Every residual within ``VERIFY_TOL``; a NaN fails."""
+        residuals = self.distance, self.catalyst_deficit, self.leakage, self.source_catalyst_deficit
+        return all(r <= VERIFY_TOL for r in residuals)
+
+
+def check_induced(got: sim.Induced, want: np.ndarray, source_deficit: float = 0.0) -> LoweringCheck:
+    """``got`` against the operator ``want``: their global-phase aligned
+    distance, ``got``'s catalyst deficit and leakage, and ``source_deficit``,
+    the catalyst deficit of whatever ``want`` was read from."""
+    return LoweringCheck(
+        distance=phase_aligned_distance(got.block, want),
+        catalyst_deficit=got.catalyst_deficit,
+        leakage=got.leakage,
+        source_catalyst_deficit=source_deficit,
+    )
 
 
 def verify_lowering(source: Circuit, lowered: LoweredCircuit) -> LoweringCheck:
     """Dense check that the lowering induces the source's operator on data wires.
 
     That operator is the source's unitary, or, if the lowering kicks a
-    catalyst wire of the source's own, ``induce_source`` with it fixed.
-    Distance is global-phase aligned against it; ``ok`` needs it, both
-    circuits' catalyst deficits and the leakage all within ``LOWERING_TOL``.
+    catalyst wire of the source's own, ``induce_source`` with it fixed. The
+    lowered circuit is induced first, so one too wide to check is refused
+    before the source's unitary is built.
     """
     got = induce(lowered)
     cat = lowered.catalyst_qubit
     want = induce_source(source, cat if cat is not None and cat < source.num_qubits else None)
-    distance = phase_aligned_distance(got.block, want.block)
-    residuals = (distance, got.catalyst_deficit, got.leakage, want.catalyst_deficit)
-    return LoweringCheck(
-        ok=all(r <= LOWERING_TOL for r in residuals),
-        distance=distance,
-        catalyst_deficit=got.catalyst_deficit,
-        leakage=got.leakage,
-        source_catalyst_deficit=want.catalyst_deficit,
-    )
+    return check_induced(got, want.block, want.catalyst_deficit)

@@ -17,8 +17,9 @@ matches the input in phase-aligned distance at working precision.
 ``synthesize`` chains that with the catalytic lowering pass, which kicks the
 same catalyst wire, yielding a circuit over {H, X, Z, RY, CCZ} plus one |+i>
 catalyst and one X-prepped ancilla. It is verified by one dense pass over
-the lowered circuit, which must reproduce the input to distance 1e-9; the
-decomposition is not checked on its own in between.
+the lowered circuit, which must reproduce the input, and return its catalyst,
+within ``lowering.VERIFY_TOL`` = 1e-10; the decomposition is not checked on
+its own in between.
 
 Haar sampling is pinned for reproducibility: numpy ``default_rng(seed)``
 (PCG64), a Ginibre matrix (randn + i randn)/sqrt(2), QR, then the Q columns
@@ -42,8 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz
-from .lowering import VERIFY_METHOD, LoweredCircuit, induce, induce_source, lower
-from .sim import gate_matrix, phase_aligned_distance
+from .lowering import (
+    VERIFY_METHOD, LoweredCircuit, LoweringCheck, check_induced, induce, induce_source, lower,
+)
+from .sim import gate_matrix
 
 
 class SynthesisError(ValueError):
@@ -51,19 +54,16 @@ class SynthesisError(ValueError):
 
 
 _FAMILY_EPS = 1e-13
-# Largest catalyst deficit and leakage a synthesized circuit may show.
-VERIFY_TOL = 1e-8
 # Largest ||u^dag u - I||_F an input matrix may show.
 UNITARY_TOL = 1e-10
-# Largest phase-aligned distance from its input of ``decompose_su2m``'s circuit,
-# and of the operator that ``synthesize``'s lowered circuit induces.
-DECOMPOSE_TOL = 1e-9
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise SynthesisError("input must be a square matrix")
+    if not u.size:
+        raise SynthesisError("input has dimension 0")
     if not np.isfinite(u).all():
         raise SynthesisError("input has a non-finite entry")
     dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
@@ -268,49 +268,36 @@ def decompose_su2m(u: np.ndarray) -> Circuit:
     Wire m, when present, is a |+i> catalyst that every multiplexed RZ kicks
     and that comes back: the target is the operator the circuit induces on
     wires 0..m-1 with wire m fed |+i> and read out through <+i|. Self-checks
-    that operator to phase-aligned distance ``DECOMPOSE_TOL``.
+    that operator's distance, catalyst deficit and leakage against ``u``
+    (``lowering.check_induced``), each within ``lowering.VERIFY_TOL``.
     """
     u = _check_unitary(u)
     circuit = _decompose(u)
-    dist = phase_aligned_distance(induce_source(circuit, _catalyst(circuit, u.shape[0])).block, u)
-    if not dist <= DECOMPOSE_TOL:
-        raise SynthesisError(f"decomposition self-check failed (distance {dist:.3e})")
+    check = check_induced(induce_source(circuit, _catalyst(circuit, u.shape[0])), u)
+    if not check.ok:
+        raise SynthesisError(f"decomposition self-check failed: {check}")
     return circuit
 
 
 @dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(LoweringCheck):
+    """The residuals of ``synthesize``'s one dense check, and what it checked."""
+
     lowered: LoweredCircuit
-    target_dim: int
-    distance: float
-    catalyst_deficit: float
-    leakage: float
     timings: dict[str, float]  # seconds in each stage: decompose, lower, verify
     method: str = VERIFY_METHOD
-
-    @property
-    def ok(self) -> bool:
-        """Distance within ``DECOMPOSE_TOL``; catalyst deficit and leakage within ``VERIFY_TOL``.
-
-        The one definition of a passing synthesis; a NaN residual fails it.
-        """
-        return (
-            self.distance <= DECOMPOSE_TOL
-            and self.catalyst_deficit <= VERIFY_TOL
-            and self.leakage <= VERIFY_TOL
-        )
 
 
 def synthesize(u: np.ndarray) -> SynthesisResult:
     """Compile a unitary onto {H, X, Z, RY, CCZ} with catalyst and ancilla.
 
     Verified by one dense pass over the lowered circuit (no separate check of
-    the decomposition): its induced data-register operator must sit within
-    phase-aligned distance ``DECOMPOSE_TOL`` (1e-9) of ``u``, and its catalyst
-    deficit and leakage within ``VERIFY_TOL`` (1e-8), or this raises. The
-    lowering rules are exact (``check_lemmas`` measures them at working
-    precision), so the source circuit is within that distance too, up to
-    rounding: no bound is looser than ``decompose_su2m``'s self-check.
+    the decomposition): the distance of its induced data-register operator
+    from ``u``, its catalyst deficit and its leakage must each be within
+    ``lowering.VERIFY_TOL`` (1e-10), or this raises. The lowering rules are
+    exact (``check_lemmas`` measures them at working precision), so the
+    decomposition is within that bound too, up to rounding: no check is
+    looser than ``decompose_su2m``'s self-check.
     """
     u = _check_unitary(u)
     t0 = time.perf_counter()
@@ -318,23 +305,15 @@ def synthesize(u: np.ndarray) -> SynthesisResult:
     t1 = time.perf_counter()
     lowered = lower(source, REAL_O2_CCZ, _catalyst(source, u.shape[0]))
     t2 = time.perf_counter()
-    got = induce(lowered)
-    distance = phase_aligned_distance(got.block, u)
+    check = check_induced(induce(lowered), u)
     t3 = time.perf_counter()
-    result = SynthesisResult(
+    if not check.ok:
+        raise SynthesisError(f"synthesis verification failed: {check}")
+    return SynthesisResult(
+        **vars(check),
         lowered=lowered,
-        target_dim=u.shape[0],
-        distance=distance,
-        catalyst_deficit=got.catalyst_deficit,
-        leakage=got.leakage,
         timings={"decompose": t1 - t0, "lower": t2 - t1, "verify": t3 - t2},
     )
-    if not result.ok:
-        raise SynthesisError(
-            f"synthesis verification failed (distance {result.distance:.3e}, catalyst "
-            f"deficit {result.catalyst_deficit:.3e}, leakage {result.leakage:.3e})"
-        )
-    return result
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -361,6 +340,8 @@ def parse_matrix(text: str) -> np.ndarray:
         dim = int(lines[0].split()[1])
     except ValueError:
         raise SynthesisError("bad dimension in matrix file") from None
+    if dim < 1:
+        raise SynthesisError(f"matrix dimension must be positive, got {dim}")
     if len(lines) != dim + 1:
         raise SynthesisError(f"expected {dim} matrix rows, got {len(lines) - 1}")
     out = np.zeros((dim, dim), dtype=complex)

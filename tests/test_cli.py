@@ -311,8 +311,8 @@ def test_synthesize_nan_residual_is_not_ok(monkeypatch, capsys):
 
 
 def test_synthesize_ok_is_the_library_verdict(monkeypatch, capsys):
-    # One definition of the bounds: a passing target is ok in both, and a
-    # distance between DECOMPOSE_TOL and VERIFY_TOL is ok in neither.
+    # One definition of the bound: a passing target is ok in both, and a
+    # distance of 5e-9, past lowering.VERIFY_TOL, is ok in neither.
     result = synthesize(haar_su(4, 7))
     code, payload, _ = run_json(["synthesize", "--m", "2", "--seed", "7"], capsys)
     assert code == 0 and payload["ok"] is True is result.ok

@@ -516,6 +516,17 @@ def test_corrupted_lowering_detected():
     assert chk.distance > 0.1
 
 
+@pytest.mark.parametrize(
+    "field", ["distance", "catalyst_deficit", "leakage", "source_catalyst_deficit"]
+)
+def test_ok_is_read_from_the_residuals(field):
+    # ``ok`` is not stored beside the residuals, so it cannot outlive them.
+    src = circuit_of(1, s(0))
+    chk = verify_lowering(src, lower(src, REAL_O2_CCZ))
+    assert chk.ok
+    assert dataclasses.replace(chk, **{field: math.nan}).ok is False
+
+
 def test_lowering_without_ancilla_prep_leaks():
     src = circuit_of(1, s(0))
     low = lower(src, REAL_O2_CCZ)

@@ -8,13 +8,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalyq.ir import REAL_O2_CCZ, Circuit, Gate, GateKind, check_membership, cz, gate_counts
+from catalyq.ir import (
+    REAL_O2_CCZ, Circuit, Gate, GateKind, check_membership, circuit_of, cz, gate_counts, s,
+)
 from catalyq.sim import gate_matrix, phase_aligned_distance
 from catalyq import lowering, sim, synth
+from catalyq.lowering import VERIFY_TOL
 from catalyq.sim import Induced
 from catalyq.synth import (
-    DECOMPOSE_TOL,
-    VERIFY_TOL,
     SynthesisError,
     decompose_su2m,
     format_matrix,
@@ -387,24 +388,64 @@ def test_synthesize_reports_stage_timings_and_method():
     assert res.method == "dense_columns"
 
 
-@pytest.mark.parametrize("field", ["distance", "catalyst_deficit", "leakage"])
+RESIDUALS = ["distance", "catalyst_deficit", "leakage"]
+
+
+def induced_off_by(target, field, value):
+    """An ``Induced`` of ``target`` with only residual ``field`` at ``value``."""
+    block, residuals = target, {"catalyst_deficit": 0.0, "leakage": 0.0}
+    if field == "distance":
+        tilt = value * math.sqrt(2.0)  # at distance tilt / sqrt(2)
+        block = target @ np.diag([np.exp(-1j * tilt), np.exp(1j * tilt)])
+    else:
+        residuals[field] = value
+    return Induced(block=block, **residuals)
+
+
+@pytest.mark.parametrize("field", RESIDUALS)
 def test_synthesize_checks_every_residual(monkeypatch, field):
-    # Only the named residual is off, and a NaN must fail it as surely as a
-    # large value. The distance bound is DECOMPOSE_TOL, so 5e-9, inside the
-    # VERIFY_TOL that bounds the other two, fails.
+    # Only the named residual is off, just past VERIFY_TOL, the one bound of
+    # every residual, and a NaN must fail it as surely as a large value.
     target = np.diag([1.0, 1j])
-    for value in (5e-9 if field == "distance" else 1e-6, float("nan")):
-        block, residuals = target, {"catalyst_deficit": 0.0, "leakage": 0.0}
-        if field == "distance":
-            tilt = value * math.sqrt(2.0)  # at distance tilt / sqrt(2)
-            block = target @ np.diag([np.exp(-1j * tilt), np.exp(1j * tilt)])
-            if not math.isnan(value):
-                assert DECOMPOSE_TOL < phase_aligned_distance(block, target) < VERIFY_TOL
-        else:
-            residuals[field] = value
-        monkeypatch.setattr(synth, "induce", lambda lowered: Induced(block=block, **residuals))
+    for value in (1.1 * VERIFY_TOL, float("nan")):
+        induced = induced_off_by(target, field, value)
+        if not math.isnan(value):
+            residual = getattr(lowering.check_induced(induced, target), field)
+            assert VERIFY_TOL < residual < 1.2 * VERIFY_TOL
+        monkeypatch.setattr(synth, "induce", lambda lowered: induced)
         with pytest.raises(SynthesisError, match="verification failed"):
             synthesize(target)
+
+
+@pytest.mark.parametrize("field", RESIDUALS)
+@pytest.mark.parametrize("scale, ok", [(10.0, False), (0.1, True)])
+def test_one_bound_for_every_dense_check(monkeypatch, field, scale, ok):
+    # verify_lowering, synthesize and decompose_su2m read one verdict: a
+    # residual of 10 VERIFY_TOL fails all three, one of VERIFY_TOL / 10 passes.
+    target = np.diag([1.0, 1j])  # S
+    induced = induced_off_by(target, field, scale * VERIFY_TOL)
+    monkeypatch.setattr(lowering, "induce", lambda lowered: induced)
+    monkeypatch.setattr(synth, "induce", lambda lowered: induced)
+    monkeypatch.setattr(synth, "induce_source", lambda circuit, catalyst: induced)
+    source = circuit_of(1, s(0))
+    assert lowering.verify_lowering(source, lowering.lower(source, REAL_O2_CCZ)).ok is ok
+    if ok:
+        assert synthesize(target).ok
+        decompose_su2m(target)
+        return
+    with pytest.raises(SynthesisError, match="verification failed"):
+        synthesize(target)
+    with pytest.raises(SynthesisError, match="self-check failed"):
+        decompose_su2m(target)
+
+
+def test_decompose_self_check_needs_its_catalyst_back(monkeypatch):
+    # An exact block is not enough: the catalyst must come back as well.
+    u = haar_su(4, 6)
+    returned_short = Induced(block=u, catalyst_deficit=1e-6, leakage=0.0)
+    monkeypatch.setattr(synth, "induce_source", lambda circuit, catalyst: returned_short)
+    with pytest.raises(SynthesisError, match="self-check failed"):
+        decompose_su2m(u)
 
 
 def test_synthesize_makes_one_dense_pass(monkeypatch):
@@ -448,6 +489,12 @@ def test_non_finite_matrix_is_rejected(compile_, bad):
         compile_(u)
 
 
+@pytest.mark.parametrize("compile_", [synthesize, decompose_su2m])
+def test_empty_matrix_is_rejected(compile_):
+    with pytest.raises(SynthesisError, match="dimension 0"):
+        compile_(np.zeros((0, 0)))
+
+
 # --- haar sampling and the matrix file format ---
 
 def test_haar_is_deterministic_per_seed():
@@ -478,6 +525,8 @@ def test_matrix_format_round_trip():
         ("dim 2\n1,0 0,0\n0,0 1", "re,im"),
         ("dim 2\n1,0 0,0\n0,0 a,b", "unparseable"),
         ("dim x\n", "bad dimension"),
+        ("dim 0\n", "must be positive, got 0"),
+        ("dim -1\n", "must be positive, got -1"),
     ],
 )
 def test_matrix_parse_errors(text, fragment):
