@@ -28,7 +28,7 @@ from .ir import (
     parse_circuit,
     serialize_circuit,
 )
-from .lowering import VERIFY_METHOD, LoweringError, check_lemmas, count_report, lower, verify_lowering
+from .lowering import VERIFY_METHOD, LoweringError, check_lemmas, count_report, lower, rule_cost, verify_lowering
 from .sim import basis_state, product_state, run
 from .synth import SynthesisError, haar_su, parse_matrix, synthesize
 
@@ -194,7 +194,7 @@ def cmd_check_prep(args: argparse.Namespace) -> RunReport:
             "max_error": check.max_error,
             "phase": check.phase,
             "ccz_count": float(ccz_count),
-            "s_total_ccz": float(ccz_count + 2),
+            "s_total_ccz": float(ccz_count + rule_cost(Gate.CS).ccz),
         },
     )
 

@@ -40,10 +40,10 @@ circuit runs on all 2^k basis inputs of its k data wires at once, with the
 catalyst fed |+i> and the ancilla |0>; it allocates 2^(n+k) amplitudes for n
 lowered wires, not the 2^(2n) of a full unitary, and is capped at
 ``sim.MAX_DENSE_QUBITS`` = 12 lowered wires. ``induce`` reads from it the
-induced block (<+i| on the catalyst, <1| on the ancilla), the catalyst
-deficit and the leakage out of that block. ``check_lemmas`` lowers each
-table entry's gate alone, one level deep, and compares ``induce`` of that
-output entrywise with the gate's matrix: it checks what ``lower`` emits.
+induced block (<+i| on the catalyst, <1| on the ancilla) and, as amplitude
+norms, the catalyst deficit and the leakage. ``check_lemmas`` lowers each
+table entry's gate alone, one level deep, and checks ``induce`` of what
+``lower`` emits: the block entrywise against the gate, deficit and leakage.
 """
 
 from __future__ import annotations
@@ -346,18 +346,18 @@ _LEMMA_THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)] + [0.7, -2.3]
 
 
 def _rule_error(gate: Gate, angle: float | None) -> float:
-    """Entrywise error of ``RULES[gate]`` against the gate it rewrites, read by
-    ``induce`` off ``lower``'s own output for ``gate`` alone and a target that
-    admits every other tag, so that exactly one level of the rule fires."""
+    """Error of ``RULES[gate]``, read by ``induce`` off ``lower``'s output for
+    ``gate`` alone under a target that admits every other tag (one level
+    fires): the block's entrywise error, or its deficit or leakage if larger."""
     kind = GateKind(gate, angle)
     source = Circuit(gate.arity, (GateApp(kind, tuple(range(gate.arity))),))
     one_level = GateSetProfile(f"all but {gate.value}", lambda g: g is not gate)
-    block = induce(lower(source, one_level)).block
-    return float(np.abs(block - gate_matrix(kind)).max())
+    got = induce(lower(source, one_level))
+    return max(float(np.abs(got.block - gate_matrix(kind)).max()), got.catalyst_deficit, got.leakage)
 
 
 def check_lemmas() -> float:
-    """Max entrywise error over every ``RULES`` entry; callers assert it's tiny."""
+    """Max ``_rule_error`` over every ``RULES`` entry; callers assert it's tiny."""
     return max(
         _rule_error(gate, theta)
         for gate in RULES

@@ -15,54 +15,49 @@ is allocated.
 ``evolve_columns`` starts from one basis column per input of the free wires,
 with each fixed wire fed its ket and the columns as a trailing batch axis
 (``circuit_unitary`` is the case with nothing fixed). Both share one gate
-loop, ``_evolve``, which fuses gates by one of two rules; either way a fused
-operator spans at most ``_FUSE_QUBITS`` (5) wires:
+loop, ``_evolve``, and one way to build a fused operator, the whole-state
+rule; a fused operator spans at most ``_FUSE_QUBITS`` (5) wires:
 
 - up to 5 wires, each maximal run of two or more angle-free gates is one
   product with its 2^n x 2^n operator; angled gates cut the runs;
-- on wider arrays, each maximal run of gates whose wires number at most 5
-  is one product with its 2^k x 2^k operator (k <= 5) on the k wires moved
-  to the front. The moved copy is the only new array: the product is
-  written back into the state's own memory. An operator with no imaginary
-  part, as every run of a lowered circuit has, multiplies the float64 view
-  of the copy, each complex amplitude read as its (re, im) pair: half the
-  arithmetic of the complex product over the same memory. Any other
-  operator takes the complex product.
+- wider states cut their gates into <= 5-wire runs and build each run's
+  operator with the whole-state rule, on the run's k-wire identity. It
+  multiplies a copy of the state with the k wires moved to the front, the
+  only new array, into the state's own memory. A real operator, as every
+  run of a lowered circuit has, multiplies float64 views, each complex
+  amplitude read as its (re, im) pair: half the arithmetic of the complex
+  product. A run of only phase gates is not built: the kernel phases it.
 
 Angle-free operators are built once and kept read-only by ``_fused``, an LRU
 cache keyed by the width and the run's (tag, wires) pairs, wires relative to
-the run's; an operator with an angled gate is built afresh. Angles are never
-in a key, so the cache cannot grow with them. The two rules stay apart
-because the second would slow synthesis, whose lowerings are at most 5 wires
-wide: one m = 3 target took 7 ms with the first and 23 ms with the second
-(measured with local runs of at most 3 wires), as an operator with an angled
-gate is never cached.
+the run's. Angles are never in a key, so the cache cannot grow with them.
+States of at most 5 wires are not cut: the dense check of one m = 3 target
+(a 5-wire, 173-gate lowering on 8 columns) takes 1.0 ms whole and 1.6 ms
+cut (median of 20 targets, one BLAS thread, 2-core Xeon).
 
 The kernel ``_apply`` applies one gate without building its embedding. Up
 to 5 wires it takes runs of one gate and the angled gates that cut runs; it
 also builds every fused operator, on the identity. On wider arrays it takes
 only runs of phase gates (Z, S, SDG, CZ, CS, CCZ), so that the amplitudes
-they leave alone stay bit-identical; every other run, a lone gate included,
-is a local product. So a one-qubit update never sees more than 4^5 = 1024
-amplitudes:
+they leave alone stay bit-identical. So a one-qubit update never sees more
+than 4^5 = 1024 amplitudes:
 
-- diagonal gates (Z, S, SDG, CZ, CS, CCZ, RZ) multiply, in place, the basis
-  slice where every operand bit is 1 by the gate's phase (RZ phases both
-  slices); amplitudes outside that slice are not touched;
-- X swaps its two slices in place;
-- H, Y, RX and RY multiply their 2x2 matrix into the (left, 2, right)
-  reshape as one batched product, written to a new array that replaces the
-  state;
+- phase gates multiply, in place, the basis slice where every operand bit
+  is 1 by the gate's phase; amplitudes outside that slice are not touched;
+- every other one-qubit gate (H, X, Y, RX, RY, RZ) multiplies its 2x2
+  matrix into the (left, 2, right) reshape as one batched product, written
+  to a new array that replaces the state;
 - CRY does the same one-qubit update on its control=1 slice, in place.
 
 ``induce`` reads the operator induced on the free wires off one column pass
-(``project`` fixes the output kets); ``catalytic_report`` factors such
-columns across a catalyst wire, for gadgets and ``extract_catalytic`` alike.
+(``project`` fixes output kets), with the catalyst deficit and the leakage
+as norms of the amplitude that leaves the catalyst and the block;
+``catalytic_report`` factors such columns across a catalyst wire, for
+gadgets and ``extract_catalytic`` alike.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -150,17 +145,18 @@ def _num_qubits_of(dim: int) -> int:
 
 # Index pieces that keep every axis, so each indexed slice is a view.
 _ALL = slice(None)
-_BIT = (slice(0, 1), slice(1, 2))
+_ONE = slice(1, 2)
 
 
 def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
     """Apply one gate to ``psi`` and return the array that holds the result.
 
     ``psi`` has shape (2,)*n, optionally followed by one batch axis; ``app``
-    must act on wires below n. The diagonal gates, X and CRY update ``psi``
-    in place and return it. H, Y, RX and RY return a new array and leave
-    ``psi`` to be dropped: one product into fresh memory is about twice as
-    fast as an in-place pair update, whose temporaries take as much memory.
+    must act on wires below n. The phase gates (Z, S, SDG, CZ, CS, CCZ) and
+    CRY update ``psi`` in place and return it. H, X, Y, RX, RY and RZ return
+    a new array and leave ``psi`` to be dropped: one product into fresh
+    memory is about twice as fast as an in-place pair update, whose
+    temporaries take as much memory.
     Of a state past the whole-state cap, only phase gates come here, and
     they work on any view, the permuted one a fused run leaves included.
     """
@@ -169,13 +165,13 @@ def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
     phase = _ONES_PHASE.get(gate)
     if phase is not None:
         for q in app.qubits:
-            idx[q] = _BIT[1]
+            idx[q] = _ONE
         ones = psi[tuple(idx)]
         ones *= phase
         return psi
     if gate is Gate.CRY:
         control, q = app.qubits
-        idx[control] = _BIT[1]
+        idx[control] = _ONE
         target = psi[tuple(idx)]
         target[...] = _apply_1q(target, q, GateKind(Gate.RY, app.kind.angle))
         return psi
@@ -183,24 +179,17 @@ def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
 
 
 def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
-    """One-qubit gate ``kind`` on axis ``q`` of ``psi``, as in ``_apply``."""
-    if kind.gate is not Gate.X and kind.gate is not Gate.RZ:
-        pairs = psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
-        return np.matmul(_matrix(kind), pairs).reshape(psi.shape)
-    lead = (_ALL,) * q
-    zero, one = psi[lead + (_BIT[0],)], psi[lead + (_BIT[1],)]
-    if kind.gate is Gate.RZ:
-        zero *= cmath.exp(-0.5j * kind.angle)
-        one *= cmath.exp(0.5j * kind.angle)
-    else:
-        saved = zero.copy()
-        zero[...] = one
-        one[...] = saved
-    return psi
+    """One-qubit gate ``kind`` on axis ``q`` of ``psi``: one batched product
+    into the (left, 2, right) reshape, returned as a new array."""
+    pairs = psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
+    return np.matmul(_matrix(kind), pairs).reshape(psi.shape)
 
 
 # A fused operator spans at most _FUSE_QUBITS wires: at the cap it is 32x32
-# complex (16 KiB), so the cache holds 4 MiB at most. Up to the cap it spans
+# complex (16 KiB), so the cache holds 16 MiB at most. It has room for the
+# angle-free stretches of the angled local runs too: the 64 items of a
+# simulate_wide pool build 475-507 shapes (6 MiB; seeds 1-10), which a
+# 256-entry cache, cycled, misses on every pass. Up to the cap it spans
 # the whole state; a miss builds it on all 2^n columns, which costs more than
 # the run, but synthesis, whose run shapes recur, stays within the cap. On
 # wider states each fused run costs a moved copy and a product, both bound by
@@ -208,22 +197,23 @@ def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
 # 8x8 one (18 wires, 2-core Xeon: copy 1.4-1.9 ms, real 32x32 product 1.1 ms,
 # complex 8x8 0.8 ms), so fusing up to the cap halves the passes of k = 3.
 _FUSE_QUBITS = 5
-_FUSE_CACHE_SIZE = 256
+_FUSE_CACHE_SIZE = 1024
 
 
-def _operator(n: int, apps) -> np.ndarray:
-    """The 2^n x 2^n operator of ``apps``, all on wires below n."""
+def _identity(n: int) -> np.ndarray:
+    """The 2^n x 2^n identity shaped (2,)*n + (2^n,): one column per basis input."""
     dim = 1 << n
-    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for app in apps:
-        op = _apply(op, app)
-    return op.reshape(dim, dim)
+    return np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
 
 
 @functools.lru_cache(maxsize=_FUSE_CACHE_SIZE)
 def _fused(n: int, run: tuple[tuple[Gate, tuple[int, ...]], ...]) -> np.ndarray:
-    """The read-only 2^n x 2^n operator of angle-free (tag, wires) pairs."""
-    op = np.ascontiguousarray(_operator(n, (GateApp(GateKind(g), q) for g, q in run)))
+    """The read-only 2^n x 2^n operator of angle-free (tag, wires) pairs, all
+    on wires below n, built gate by gate on the identity."""
+    op = _identity(n)
+    for g, q in run:
+        op = _apply(op, GateApp(GateKind(g), q))
+    op = np.ascontiguousarray(op.reshape(1 << n, 1 << n))
     op.flags.writeable = False
     return op
 
@@ -274,13 +264,14 @@ def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.nd
     """``run``, acting on ``wires`` only, applied to ``psi``.
 
     A run of only phase gates goes through ``_apply``, in place. Any other
-    run, one gate or many, is one product: the run's operator comes from
-    ``_fused`` if no gate has an angle and is built afresh if one has, and
-    multiplies a copy of ``psi`` with ``wires`` moved to the front. The
-    product goes back into the memory under ``psi`` (``psi`` itself, or the
-    array it is a view of, which holds exactly the state), and the result is
-    that memory viewed with the wires moved back. A real operator multiplies
-    the float64 views of the copy and of that memory.
+    run, one gate or many, is one product: its 2^k x 2^k operator is the
+    whole-state rule, ``_evolve``, run on the k-wire identity with the run
+    relabelled onto wires 0..k-1, and it multiplies a copy of ``psi`` with
+    ``wires`` moved to the front. The product goes back into the memory
+    under ``psi`` (``psi`` itself, or the array it is a view of, which holds
+    exactly the state), and the result is that memory viewed with the wires
+    moved back. A real operator multiplies the float64 views of the copy and
+    of that memory.
     """
     if all(app.kind.gate in _ONES_PHASE for app in run):
         for app in run:
@@ -288,10 +279,8 @@ def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.nd
         return psi
     k = len(wires)
     pos = {w: i for i, w in enumerate(wires)}
-    if all(app.kind.angle is None for app in run):
-        op = _fused(k, tuple((app.kind.gate, tuple(map(pos.get, app.qubits))) for app in run))
-    else:
-        op = _operator(k, (GateApp(app.kind, tuple(map(pos.get, app.qubits))) for app in run))
+    local = tuple(GateApp(app.kind, tuple(map(pos.get, app.qubits))) for app in run)
+    op = _evolve(_identity(k), local, k).reshape(1 << k, 1 << k)
     moved = np.moveaxis(psi, wires, range(k))
     cols = moved.copy().reshape(1 << k, -1)
     own = psi if psi.base is None else psi.base
@@ -341,8 +330,7 @@ def evolve_columns(c: Circuit, fixed: Kets) -> np.ndarray:
         raise ValueError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
     if not all(0 <= w < n for w in fixed):
         raise ValueError(f"fixed wires {sorted(fixed)} out of range for {n} qubits")
-    cols = 1 << (n - len(fixed))
-    psi = np.eye(cols, dtype=complex).reshape((2,) * (n - len(fixed)) + (cols,))
+    psi = _identity(n - len(fixed))
     # Wires below w already have their axes, so w's axis goes in at w.
     for w in sorted(fixed):
         ket = np.asarray(fixed[w], dtype=complex).reshape((2,) + (1,) * (psi.ndim - w))
@@ -368,9 +356,9 @@ class Induced:
     """What a circuit does to its free wires, read from one column pass.
 
     ``block`` is <outs| U |ins> on the free wires. Over their basis inputs,
-    ``catalyst_deficit`` is the worst shortfall of ||<cat| U input|| from 1
-    (0.0 without a catalyst), and ``leakage`` the worst shortfall of the
-    block column's norm from 1.
+    ``catalyst_deficit`` is the largest norm of <cat_perp| U input, the
+    amplitude that leaves the catalyst (0.0 without one), and ``leakage``
+    that of the amplitude outside the block: both are linear in a leak.
     """
 
     block: np.ndarray
@@ -378,18 +366,19 @@ class Induced:
     leakage: float
 
 
-def _shortfall(cols: np.ndarray) -> float:
-    """Max over columns (the last axis) of 1 - the column's norm."""
-    norms = np.linalg.norm(cols.reshape(-1, cols.shape[-1]), axis=0)
-    return float(np.max(1.0 - norms))
+def _rotated(cols: np.ndarray, outs: Kets) -> np.ndarray:
+    """``cols`` with each wire of ``outs`` turned into the basis (out,
+    out-perp), index 0 reading <outs[w]| and index 1 the amplitude that
+    leaves it, viewed with those wires' axes moved first, ascending."""
+    for w, o in outs.items():
+        basis = np.array([o.conj(), [-o[1], o[0]]])
+        cols = (basis @ cols.reshape(1 << w, 2, -1)).reshape(cols.shape)
+    return np.moveaxis(cols, sorted(outs), range(len(outs)))
 
 
-def _read(cols: np.ndarray, outs: Kets, catalyst: int | None) -> Induced:
-    block = project(cols, outs).reshape(-1, cols.shape[-1])
-    deficit = 0.0
-    if catalyst is not None:
-        deficit = _shortfall(project(cols, {catalyst: outs[catalyst]}))
-    return Induced(block=block, catalyst_deficit=deficit, leakage=_shortfall(block))
+def _largest_norm(x: np.ndarray) -> float:
+    """Max over columns (the last axis) of the column's norm; 0.0 if empty."""
+    return float(np.max(np.linalg.norm(x.reshape(-1, x.shape[-1]), axis=0)))
 
 
 def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> Induced:
@@ -401,7 +390,13 @@ def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> In
     """
     if set(ins) != set(outs):
         raise ValueError("ins and outs must fix the same wires")
-    return _read(evolve_columns(c, ins), outs, catalyst)
+    t = _rotated(evolve_columns(c, ins), outs)
+    f, cols = len(outs), t.shape[-1]
+    deficit = 0.0
+    if catalyst is not None:
+        deficit = _largest_norm(t[(_ALL,) * sorted(outs).index(catalyst) + (1,)])
+    leakage = _largest_norm(t.reshape(1 << f, -1, cols)[1:])
+    return Induced(block=t[(0,) * f].reshape(-1, cols), catalyst_deficit=deficit, leakage=leakage)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -490,21 +485,20 @@ def catalytic_report(
     """Factor ``evolve_columns`` output, catalyst fed cat = ``outs[catalyst]``.
 
     Catalytic iff ||<cat_perp| cols||_F <= tol and V = <cat| cols has columns
-    orthonormal within tol; the induced operator (the block of ``outs``) and
-    the deficit are read as ``induce`` reads them.
+    orthonormal within tol; the induced operator is ``induce``'s block, and
+    the deficit V's worst column shortfall, 1 - ||<cat| col||.
     """
-    cat = outs[catalyst]
-    cat_perp = np.array([-np.conj(cat[1]), np.conj(cat[0])], dtype=complex)
-    got = _read(cols, outs, catalyst)
-    kept = project(cols, {catalyst: cat}).reshape(-1, cols.shape[-1])
-    residual = float(np.linalg.norm(project(cols, {catalyst: cat_perp})))
+    t = _rotated(cols, outs)
+    at = (_ALL,) * sorted(outs).index(catalyst)
+    kept = t[at + (0,)].reshape(-1, cols.shape[-1])
+    residual = float(np.linalg.norm(t[at + (1,)]))
     unitarity = float(np.linalg.norm(kept.conj().T @ kept - np.eye(kept.shape[1])))
     ok = residual <= tol and unitarity <= tol
     return CatalyticReport(
         is_catalytic=ok,
-        induced=got.block if ok else None,
+        induced=t[(0,) * len(outs)].reshape(-1, cols.shape[-1]) if ok else None,
         residual_norm=residual,
-        catalyst_overlap_deficit=got.catalyst_deficit,
+        catalyst_overlap_deficit=float(np.max(1.0 - np.linalg.norm(kept, axis=0))),
     )
 
 

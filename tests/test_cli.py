@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from catalyq import cli
+from catalyq import cli, lowering
 from catalyq.cli import main
 from catalyq.ir import HCCZ, Gate, check_membership, gate_counts, parse_circuit
 from catalyq.synth import format_matrix, haar_su, synthesize
@@ -92,6 +92,16 @@ def test_verify_fails_on_a_broken_rule_table(monkeypatch, capsys):
     assert payload["ok"] is False
     assert payload["metrics"]["rule_lemma_error"] == 1.0
     assert payload["metrics"]["max_rz_error"] <= 1e-12
+
+
+def test_verify_fails_when_a_rule_spends_its_catalyst(monkeypatch, capsys):
+    # Every block exact, but each rule's catalyst comes back 1e-6 short.
+    real = lowering.induce
+    monkeypatch.setattr(lowering, "induce", lambda low: dataclasses.replace(real(low), catalyst_deficit=1e-6))
+    code, payload, _ = run_json(["verify", "--theta-steps", "4"], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["metrics"]["rule_lemma_error"] >= 1e-6
 
 
 # --- lower ---

@@ -91,6 +91,15 @@ def test_corrupted_rule_fails_lemma_check(monkeypatch, gate, broken):
     assert check_lemmas() > 1e-6
 
 
+@pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
+def test_lemma_check_reads_the_catalyst_and_the_leakage(monkeypatch, field):
+    # An exact block is not enough: a rule must also return its catalyst and
+    # keep its amplitude in the block.
+    real = lowering.induce
+    monkeypatch.setattr(lowering, "induce", lambda low: dataclasses.replace(real(low), **{field: 1e-6}))
+    assert check_lemmas() >= 1e-6
+
+
 def test_lemma_check_runs_the_emitted_prep(monkeypatch):
     # The lemma check reads ``lower``'s own output: a wrong ancilla prep in
     # ``lower`` (Z leaves |0> at |0>) must fail it.

@@ -443,14 +443,15 @@ class RecordingNumpy:
 
 def test_local_fusion_matches_the_per_gate_loop_on_wide_states(monkeypatch):
     rng = np.random.default_rng(2026)
-    built = []
-    operator = sim._operator
+    built = []  # each local run's relabelled gates, as the operator builder got them
+    evolve = sim._evolve
 
-    def recording(n, apps):
-        built.append(list(apps))
-        return operator(n, built[-1])
+    def recording(psi, gates, n):
+        if n <= _FUSE_QUBITS:
+            built.append(list(gates))
+        return evolve(psi, gates, n)
 
-    monkeypatch.setattr(sim, "_operator", recording)
+    monkeypatch.setattr(sim, "_evolve", recording)
     numpy = RecordingNumpy()
     monkeypatch.setattr(sim, "np", numpy)
     for data in (12, 14, 16):
@@ -577,8 +578,15 @@ def test_wide_diagonal_run_touches_only_its_all_ones_slice(monkeypatch):
     n = 7
     c = circuit_of(n, s(2), cz(2, 5), ccz(2, 5, 6), s(2))
     psi = random_state(n, 3).reshape(-1)
-    for name in ("_fused", "_operator"):
-        monkeypatch.setattr(sim, name, lambda *args: pytest.fail("diagonal run was fused"))
+    evolve = sim._evolve
+
+    def wide_only(psi, gates, n):
+        if n <= _FUSE_QUBITS:
+            pytest.fail("diagonal run was fused")
+        return evolve(psi, gates, n)
+
+    monkeypatch.setattr(sim, "_fused", lambda *args: pytest.fail("diagonal run was fused"))
+    monkeypatch.setattr(sim, "_evolve", wide_only)
     got = run(c, psi)
     untouched = ((np.arange(1 << n) >> (n - 1 - 2)) & 1) == 0
     assert np.array_equal(got[untouched].view(np.uint64), psi[untouched].view(np.uint64))

@@ -1,5 +1,6 @@
 """Synthesis: one-qubit emission, CZ-based decomposition, full pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalyq.ir import (
-    REAL_O2_CCZ, Circuit, Gate, GateKind, check_membership, circuit_of, cz, gate_counts, s,
+    REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, check_membership, circuit_of, cz, gate_counts, s,
 )
 from catalyq.sim import gate_matrix, phase_aligned_distance
 from catalyq import lowering, sim, synth
@@ -379,6 +380,23 @@ def test_synthesize_rejects_non_unitary():
 def test_synthesize_reports_its_leakage():
     res = synthesize(haar_su(8, 3))
     assert 0.0 <= max(res.leakage, res.catalyst_deficit) <= VERIFY_TOL
+
+
+@pytest.mark.parametrize("gate, wire", [(Gate.RZ, "catalyst"), (Gate.RY, "ancilla")])
+def test_a_small_leak_out_of_a_fixed_wire_is_not_ok(gate, wire):
+    # A 2e-5 rotation appended on the catalyst or the ancilla moves 1e-5 of
+    # amplitude out of it. The deficit and leakage read that amplitude, not
+    # the 5e-11 it takes off the kept column's norm, so the check fails.
+    u = haar_su(8, 42)
+    low = synthesize(u).lowered
+    q = low.catalyst_qubit if wire == "catalyst" else low.ancilla_qubits[0][0]
+    leak = GateApp(GateKind(gate, 2e-5), (q,))
+    leaky = dataclasses.replace(low, circuit=Circuit(low.circuit.num_qubits, low.circuit.gates + (leak,)))
+    chk = lowering.check_induced(lowering.induce(leaky), u)
+    assert not chk.ok
+    assert chk.leakage == pytest.approx(1e-5, rel=1e-3)
+    if wire == "catalyst":
+        assert chk.catalyst_deficit == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_synthesize_reports_stage_timings_and_method():
