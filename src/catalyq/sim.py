@@ -20,13 +20,22 @@ rule; a fused operator spans at most ``_FUSE_QUBITS`` (5) wires:
 
 - up to 5 wires, each maximal run of two or more angle-free gates is one
   product with its 2^n x 2^n operator; angled gates cut the runs;
-- wider states cut their gates into <= 5-wire runs and build each run's
-  operator with the whole-state rule, on the run's k-wire identity. It
-  multiplies a copy of the state with the k wires moved to the front, the
-  only new array, into the state's own memory. A real operator, as every
-  run of a lowered circuit has, multiplies float64 views, each complex
-  amplitude read as its (re, im) pair: half the arithmetic of the complex
-  product. A run of only phase gates is not built: the kernel phases it.
+- wider states are cut by ``_schedule`` into runs of at most 5 wires, out of
+  order where gates commute: a gate joins the open run past the gates
+  deferred before it if it shares no wire with them, or if it and they are
+  all phase gates, and a phase gate that does not fit is phased in place at
+  once if it shares no wire with the run. Each run with a non-phase gate is
+  one product with a copy of the state that has the run's wires moved to
+  the front, written back into the state's own memory. The copy buffer is
+  the only new array; the last copy puts the state back in wire order into
+  it, and it is the result. The c wires that only the run's phase gates
+  touch go first, so its operator is 2^c blocks, one batched product at
+  1/2^c of the dense arithmetic. A real operator, as every run of a lowered
+  circuit has, multiplies float64 views, each complex amplitude read as its
+  (re, im) pair: half the arithmetic of the complex product. A run of only
+  phase gates is not built: the kernel phases it. A simulate_wide item (53
+  gates on 18 wires) takes 6.2 products, where maximal runs in gate order
+  took 8.6.
 
 Angle-free operators are built once and kept read-only by ``_fused``, an LRU
 cache keyed by the width and the run's (tag, wires) pairs, wires relative to
@@ -37,7 +46,7 @@ cut (median of 20 targets, one BLAS thread, 2-core Xeon).
 
 The kernel ``_apply`` applies one gate without building its embedding. Up
 to 5 wires it takes runs of one gate and the angled gates that cut runs; it
-also builds every fused operator, on the identity. On wider arrays it takes
+also builds every fused operator, on an identity. On wider arrays it takes
 only runs of phase gates (Z, S, SDG, CZ, CS, CCZ), so that the amplitudes
 they leave alone stay bit-identical. So a one-qubit update never sees more
 than 4^5 = 1024 amplitudes:
@@ -51,7 +60,9 @@ than 4^5 = 1024 amplitudes:
 
 ``induce`` reads the operator induced on the free wires off one column pass
 (``project`` fixes output kets), with the catalyst deficit and the leakage
-as norms of the amplitude that leaves the catalyst and the block;
+as norms of the amplitude that leaves the catalyst and the block; it rotates
+one copy of the columns in place, so it never holds more than the columns
+and that copy;
 ``catalytic_report`` factors such columns across a catalyst wire, for
 gadgets and ``extract_catalytic`` alike.
 """
@@ -60,7 +71,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,7 +161,20 @@ _ALL = slice(None)
 _ONE = slice(1, 2)
 
 
-def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
+class _Op(NamedTuple):
+    """A gate moved onto other wires: the validated kind of a ``GateApp``
+    and its new wires. The kernel reads it as it reads a ``GateApp``, and
+    building it validates nothing again."""
+
+    kind: GateKind
+    qubits: tuple[int, ...]
+
+
+# The kind of each angle-free tag, for the gates ``_fused`` builds from tags.
+_KIND = {g: GateKind(g) for g in Gate if not g.takes_angle}
+
+
+def _apply(psi: np.ndarray, app: GateApp | _Op) -> np.ndarray:
     """Apply one gate to ``psi`` and return the array that holds the result.
 
     ``psi`` has shape (2,)*n, optionally followed by one batch axis; ``app``
@@ -173,31 +199,39 @@ def _apply(psi: np.ndarray, app: GateApp) -> np.ndarray:
         control, q = app.qubits
         idx[control] = _ONE
         target = psi[tuple(idx)]
-        target[...] = _apply_1q(target, q, GateKind(Gate.RY, app.kind.angle))
+        target[...] = _apply_1q(target, q, _ry(app.kind.angle))
         return psi
-    return _apply_1q(psi, app.qubits[0], app.kind)
+    return _apply_1q(psi, app.qubits[0], _matrix(app.kind))
 
 
-def _apply_1q(psi: np.ndarray, q: int, kind: GateKind) -> np.ndarray:
-    """One-qubit gate ``kind`` on axis ``q`` of ``psi``: one batched product
+def _apply_1q(psi: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
+    """One-qubit matrix ``m`` on axis ``q`` of ``psi``: one batched product
     into the (left, 2, right) reshape, returned as a new array."""
     pairs = psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
-    return np.matmul(_matrix(kind), pairs).reshape(psi.shape)
+    return np.matmul(m, pairs).reshape(psi.shape)
 
 
 # A fused operator spans at most _FUSE_QUBITS wires: at the cap it is 32x32
 # complex (16 KiB), so the cache holds 16 MiB at most. It has room for the
 # angle-free stretches of the angled local runs too: the 64 items of a
-# simulate_wide pool build 475-507 shapes (6 MiB; seeds 1-10), which a
-# 256-entry cache, cycled, misses on every pass. Up to the cap it spans
-# the whole state; a miss builds it on all 2^n columns, which costs more than
-# the run, but synthesis, whose run shapes recur, stays within the cap. On
-# wider states each fused run costs a moved copy and a product, both bound by
-# memory bandwidth, and a real 32x32 product costs little more than a complex
-# 8x8 one (18 wires, 2-core Xeon: copy 1.4-1.9 ms, real 32x32 product 1.1 ms,
-# complex 8x8 0.8 ms), so fusing up to the cap halves the passes of k = 3.
+# simulate_wide pool build 457-493 shapes (seeds 1-10), which a 256-entry
+# cache, cycled, misses on every pass. Up to the cap it spans the whole
+# state; a miss builds it on all 2^n columns, which costs more than the run,
+# but synthesis, whose run shapes recur, stays within the cap. On wider
+# states each product costs a moved copy and a product, both bound by memory
+# bandwidth, and a real 32x32 product costs little more than a complex 8x8
+# one (18 wires, 2-core Xeon: copy 1.4-1.9 ms, real 32x32 product 1.1 ms,
+# complex 8x8 0.8 ms), so runs of up to 5 wires halve the passes of 3.
 _FUSE_QUBITS = 5
 _FUSE_CACHE_SIZE = 1024
+# Past the whole-state cap, a run closes once this many gates wait behind
+# it, so each gate is looked at no more than _LOOKAHEAD + 1 times and
+# scheduling stays linear in the gate count. Unbounded, it looked at each
+# gate of an 8-wire, 5201-gate lowering 200 times (3.5 at 32), and that
+# lowering's dense check took 0.37 s instead of 0.07 s (2-core Xeon). A
+# simulate_wide item takes 6.6, 6.4, 6.2 and 6.1 products at a bound of 8,
+# 16, 32 and 64.
+_LOOKAHEAD = 32
 
 
 def _identity(n: int) -> np.ndarray:
@@ -211,14 +245,14 @@ def _fused(n: int, run: tuple[tuple[Gate, tuple[int, ...]], ...]) -> np.ndarray:
     """The read-only 2^n x 2^n operator of angle-free (tag, wires) pairs, all
     on wires below n, built gate by gate on the identity."""
     op = _identity(n)
-    for g, q in run:
-        op = _apply(op, GateApp(GateKind(g), q))
+    for gate, qubits in run:
+        op = _apply(op, _Op(_KIND[gate], qubits))
     op = np.ascontiguousarray(op.reshape(1 << n, 1 << n))
     op.flags.writeable = False
     return op
 
 
-def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
+def _evolve(psi: np.ndarray, gates: Sequence[GateApp | _Op], n: int) -> np.ndarray:
     """Apply ``gates`` in order to ``psi``, shaped as for ``_apply``.
 
     ``psi`` belongs to the caller's pass, which hands it over: it is
@@ -226,7 +260,7 @@ def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
     """
     if n > _FUSE_QUBITS:
         return _evolve_local(psi, gates)
-    run: list[GateApp] = []
+    run: list[GateApp | _Op] = []
     for app in gates:
         if app.kind.angle is None:
             run.append(app)
@@ -236,7 +270,7 @@ def _evolve(psi: np.ndarray, gates: tuple[GateApp, ...], n: int) -> np.ndarray:
     return _apply_run(psi, run, n)
 
 
-def _apply_run(psi: np.ndarray, run: list[GateApp], n: int) -> np.ndarray:
+def _apply_run(psi: np.ndarray, run: list[GateApp | _Op], n: int) -> np.ndarray:
     if len(run) == 1:
         return _apply(psi, run[0])
     if run:
@@ -245,51 +279,121 @@ def _apply_run(psi: np.ndarray, run: list[GateApp], n: int) -> np.ndarray:
     return psi
 
 
-def _evolve_local(psi: np.ndarray, gates: tuple[GateApp, ...]) -> np.ndarray:
-    """``_evolve`` past the whole-state cap: each maximal run of gates on at
-    most ``_FUSE_QUBITS`` wires is one product with its 2^k operator."""
-    run: list[GateApp] = []
-    wires: set[int] = set()
-    for app in gates:
-        union = wires.union(app.qubits)
-        if len(union) > _FUSE_QUBITS:
-            psi = _apply_local(psi, run, sorted(wires))
-            run, union = [], set(app.qubits)
-        run.append(app)
-        wires = union
-    return _apply_local(psi, run, sorted(wires))
+def _schedule(gates: Sequence[GateApp]) -> list[list[GateApp]]:
+    """``gates`` cut into the steps of ``_evolve_local``, in the order they run:
+    runs on at most ``_FUSE_QUBITS`` wires, and lone phase gates.
 
-
-def _apply_local(psi: np.ndarray, run: list[GateApp], wires: list[int]) -> np.ndarray:
-    """``run``, acting on ``wires`` only, applied to ``psi``.
-
-    A run of only phase gates goes through ``_apply``, in place. Any other
-    run, one gate or many, is one product: its 2^k x 2^k operator is the
-    whole-state rule, ``_evolve``, run on the k-wire identity with the run
-    relabelled onto wires 0..k-1, and it multiplies a copy of ``psi`` with
-    ``wires`` moved to the front. The product goes back into the memory
-    under ``psi`` (``psi`` itself, or the array it is a view of, which holds
-    exactly the state), and the result is that memory viewed with the wires
-    moved back. A real operator multiplies the float64 views of the copy and
-    of that memory.
+    A gate joins the open run if the union of wires still fits and it
+    commutes with every gate deferred before it: it shares no wire with
+    them, or it and they are phase gates. A phase gate that commutes so but
+    does not fit, and shares no wire with the run, is a step of its own,
+    before the run. Any other gate is deferred. The run closes once
+    ``_LOOKAHEAD`` gates are deferred or none are left, and the deferred
+    gates, in order, go back before the unread ones.
     """
-    if all(app.kind.gate in _ONES_PHASE for app in run):
-        for app in run:
-            psi = _apply(psi, app)
-        return psi
-    k = len(wires)
-    pos = {w: i for i, w in enumerate(wires)}
-    local = tuple(GateApp(app.kind, tuple(map(pos.get, app.qubits))) for app in run)
-    op = _evolve(_identity(k), local, k).reshape(1 << k, 1 << k)
-    moved = np.moveaxis(psi, wires, range(k))
-    cols = moved.copy().reshape(1 << k, -1)
+    steps: list[list[GateApp]] = []
+    queue = deque(gates)
+    while queue:
+        run: list[GateApp] = []
+        wires: set[int] = set()
+        deferred: list[GateApp] = []
+        blocked: set[int] = set()  # wires of deferred non-phase gates
+        phased: set[int] = set()  # wires of deferred phase gates
+        while queue and len(deferred) < _LOOKAHEAD:
+            app = queue.popleft()
+            qubits = app.qubits
+            phase = app.kind.gate in _ONES_PHASE
+            if blocked.isdisjoint(qubits) and (phase or phased.isdisjoint(qubits)):
+                union = wires.union(qubits)
+                if len(union) <= _FUSE_QUBITS:
+                    run.append(app)
+                    wires = union
+                    continue
+                if phase and wires.isdisjoint(qubits):
+                    steps.append([app])
+                    continue
+            deferred.append(app)
+            (phased if phase else blocked).update(qubits)
+        steps.append(run)
+        queue.extendleft(reversed(deferred))
+    return steps
+
+
+def _evolve_local(psi: np.ndarray, gates: Sequence[GateApp]) -> np.ndarray:
+    """``_evolve`` past the whole-state cap, one ``_schedule`` step at a time.
+
+    A step of only phase gates goes through ``_apply``, in place. Any other
+    step is one product with its block-diagonal operator (see ``_blocks``),
+    through one copy buffer: ``psi`` is copied into it with the step's wires
+    moved to the front, and the product goes back into the memory under
+    ``psi`` (``psi`` itself, or the array it is a view of, which holds
+    exactly the state), viewed with the wires moved back. Behind the step's
+    wires the copy orders the others by the next product that uses them,
+    soonest first, and those no later product uses keep their order in
+    memory: the next copy then moves the wires it needs from near the
+    front, and long runs of the rest as they lie. The last copy puts the
+    state back in wire order, into the buffer, which is returned: the
+    result is C-contiguous, as it is up to the cap.
+    """
+    steps = _schedule(gates)
+    # Per step, the index of the next product that uses each wire.
+    later: list[dict[int, int]] = []
+    uses: dict[int, int] = {}
+    for i in range(len(steps) - 1, -1, -1):
+        later.append(uses)
+        if not _phases_only(steps[i]):
+            uses = {**uses, **{w: i for app in steps[i] for w in app.qubits}}
+    later.reverse()
     own = psi if psi.base is None else psi.base
-    dst = own.reshape(cols.shape, copy=False)
-    if op.imag.any():
-        np.matmul(op, cols, out=dst)
-    else:
-        np.matmul(np.ascontiguousarray(op.real), cols.view(np.float64), out=dst.view(np.float64))
-    return np.moveaxis(own.reshape(moved.shape, copy=False), range(k), wires)
+    buf = np.empty(own.size, dtype=complex) if uses else None  # if any step is a product
+    memory = list(range(psi.ndim))  # the axes of psi in the order they lie in own
+    for run, nxt in zip(steps, later):
+        if _phases_only(run):
+            for app in run:
+                psi = _apply(psi, app)
+            continue
+        blocks, wires = _blocks(run)
+        rest = sorted((a for a in memory if a not in wires), key=lambda a: nxt.get(a, len(steps)))
+        memory = wires + rest
+        moved = psi.transpose(memory)
+        cols = buf.reshape(moved.shape)
+        np.copyto(cols, moved)
+        src = cols.reshape(blocks.shape[0], blocks.shape[1], -1)
+        dst = own.reshape(src.shape, copy=False)
+        if blocks.imag.any():
+            np.matmul(blocks, src, out=dst)
+        else:
+            np.matmul(np.ascontiguousarray(blocks.real), src.view(np.float64), out=dst.view(np.float64))
+        psi = own.reshape(moved.shape, copy=False).transpose(np.argsort(memory))
+    if buf is None:
+        return psi
+    out = buf.reshape(psi.shape)
+    np.copyto(out, psi)
+    return out
+
+
+def _phases_only(run: list[GateApp]) -> bool:
+    return all(app.kind.gate in _ONES_PHASE for app in run)
+
+
+def _blocks(run: list[GateApp]) -> tuple[np.ndarray, list[int]]:
+    """The operator of ``run``, and the order of the run's k wires it is
+    written in.
+
+    The c wires that only phase gates touch come first, so the operator is
+    block-diagonal over them: 2^c blocks of 2^(k-c) x 2^(k-c), shaped
+    (2^c, 2^(k-c), 2^(k-c)). The whole-state rule, ``_evolve``, builds them
+    at once, on one 2^(k-c)-column identity on the other wires per value of
+    those c wires, with the run relabelled onto wires 0..k-1.
+    """
+    touched = {w for app in run if app.kind.gate not in _ONES_PHASE for w in app.qubits}
+    wires = sorted({w for app in run for w in app.qubits} - touched) + sorted(touched)
+    k, c = len(wires), len(wires) - len(touched)
+    pos = {w: i for i, w in enumerate(wires)}
+    local = [_Op(app.kind, tuple(map(pos.__getitem__, app.qubits))) for app in run]
+    b = 1 << (k - c)
+    start = np.tile(np.eye(b, dtype=complex), (1 << c, 1)).reshape((2,) * k + (b,))
+    return _evolve(start, local, k).reshape(1 << c, b, b), wires
 
 
 def _check_state_width(num_qubits: int) -> None:
@@ -366,19 +470,36 @@ class Induced:
     leakage: float
 
 
+# Elements of the columns one in-place rotation step works on: 1 MiB.
+_SLAB = 1 << 16
+
+
 def _rotated(cols: np.ndarray, outs: Kets) -> np.ndarray:
-    """``cols`` with each wire of ``outs`` turned into the basis (out,
-    out-perp), index 0 reading <outs[w]| and index 1 the amplitude that
-    leaves it, viewed with those wires' axes moved first, ascending."""
-    for w, o in outs.items():
+    """A copy of ``cols`` with each wire of ``outs`` turned into the basis
+    (out, out-perp), index 0 reading <outs[w]| and index 1 the amplitude
+    that leaves it, with those wires' axes moved first, ascending.
+
+    Each wire is rotated in place on the copy, a slab of at most ``_SLAB``
+    elements at a time, so ``cols`` and the copy are the only arrays of
+    their size.
+    """
+    fixed = sorted(outs)
+    t = cols.transpose(fixed + [a for a in range(cols.ndim) if a not in outs]).copy()
+    for i, w in enumerate(fixed):
+        o = outs[w]
         basis = np.array([o.conj(), [-o[1], o[0]]])
-        cols = (basis @ cols.reshape(1 << w, 2, -1)).reshape(cols.shape)
-    return np.moveaxis(cols, sorted(outs), range(len(outs)))
+        v = t.reshape(1 << i, 2, -1)
+        width = _SLAB >> (i + 1)
+        for k in range(0, v.shape[2], width):
+            part = v[:, :, k : k + width]
+            part[...] = basis @ part
+    return t
 
 
-def _largest_norm(x: np.ndarray) -> float:
-    """Max over columns (the last axis) of the column's norm; 0.0 if empty."""
-    return float(np.max(np.linalg.norm(x.reshape(-1, x.shape[-1]), axis=0)))
+def _largest_norm(sq: np.ndarray) -> float:
+    """Max over columns (the last axis) of the norm of the amplitudes whose
+    squared magnitudes are ``sq``."""
+    return math.sqrt(float(sq.sum(axis=tuple(range(sq.ndim - 1))).max()))
 
 
 def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> Induced:
@@ -391,12 +512,15 @@ def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> In
     if set(ins) != set(outs):
         raise ValueError("ins and outs must fix the same wires")
     t = _rotated(evolve_columns(c, ins), outs)
-    f, cols = len(outs), t.shape[-1]
+    f = len(outs)
+    block = t[(0,) * f].reshape(-1, t.shape[-1])
+    sq = np.abs(t)
+    sq *= sq
     deficit = 0.0
     if catalyst is not None:
-        deficit = _largest_norm(t[(_ALL,) * sorted(outs).index(catalyst) + (1,)])
-    leakage = _largest_norm(t.reshape(1 << f, -1, cols)[1:])
-    return Induced(block=t[(0,) * f].reshape(-1, cols), catalyst_deficit=deficit, leakage=leakage)
+        deficit = _largest_norm(sq[(_ALL,) * sorted(outs).index(catalyst) + (1,)])
+    sq[(0,) * f] = 0.0
+    return Induced(block=block, catalyst_deficit=deficit, leakage=_largest_norm(sq))
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,6 +5,8 @@ embedding oracle that shares no code with the simulator.
 """
 
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from catalyq.ir import (
     x,
     y,
 )
+from catalyq.lowering import induce as induce_lowered
 from catalyq.lowering import lower
 from catalyq.sim import (
     KET_0,
@@ -407,15 +410,20 @@ WIDE_SOURCE_GATES = ("H", "X", "Z", "S", "SDG", "RX", "RY", "RZ", "CZ", "CS", "C
 WIDE_ARITY = {"CZ": 2, "CS": 2, "CCZ": 3}
 
 
-def wide_lowered(rng, data, copies=2):
-    """A seeded source on ``data`` wires, lowered onto {H, X, Z, RY, CCZ}."""
+def wide_source(rng, data, copies=2):
+    """A seeded source on ``data`` wires with ``copies`` of every lowerable gate."""
     names = rng.permutation(np.repeat(np.array(WIDE_SOURCE_GATES), copies))
     lines = [f"qubits {data}"]
     for name in names.tolist():
         wires = rng.choice(data, size=WIDE_ARITY.get(name, 1), replace=False)
         head = f"{name}({rng.uniform(-math.pi, math.pi)!r})" if name in ("RX", "RY", "RZ") else name
         lines.append(" ".join([head, *map(str, wires.tolist())]))
-    return lower(parse_circuit("\n".join(lines)), REAL_O2_CCZ).circuit
+    return parse_circuit("\n".join(lines))
+
+
+def wide_lowered(rng, data, copies=2):
+    """A seeded source on ``data`` wires, lowered onto {H, X, Z, RY, CCZ}."""
+    return lower(wide_source(rng, data, copies), REAL_O2_CCZ).circuit
 
 
 def per_gate(c, state):
@@ -591,6 +599,115 @@ def test_wide_diagonal_run_touches_only_its_all_ones_slice(monkeypatch):
     untouched = ((np.arange(1 << n) >> (n - 1 - 2)) & 1) == 0
     assert np.array_equal(got[untouched].view(np.uint64), psi[untouched].view(np.uint64))
     assert np.abs(got - oracle_unitary(c) @ psi).max() <= 1e-12
+
+
+# --- scheduling past the whole-state cap ---
+
+# Phase gates, angled gates, CRY, Y and H: gates that commute with each
+# other and gates that do not, on shared wires.
+SCHEDULED_POOL = (
+    Gate.Z, Gate.S, Gate.SDG, Gate.CZ, Gate.CS, Gate.CCZ,
+    Gate.RX, Gate.RY, Gate.RZ, Gate.CRY, Gate.Y, Gate.H,
+)
+
+
+@st.composite
+def scheduled_cases(draw):
+    """A circuit of 20-120 gates on 7-12 wires, and fixed kets on all but
+    1-3 of its wires."""
+    n = draw(st.integers(7, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Half the cases crowd their gates onto 6 wires, so runs fill up and
+    # gates wait behind ones that share their wires.
+    wires = n if draw(st.booleans()) else 6
+    apps = []
+    for gate in rng.choice(SCHEDULED_POOL, size=draw(st.integers(20, 120))).tolist():
+        qubits = tuple(rng.choice(wires, size=gate.arity, replace=False).tolist())
+        angle = float(rng.uniform(-math.pi, math.pi)) if gate.takes_angle else None
+        apps.append(GateApp(GateKind(gate, angle), qubits))
+    free = draw(st.integers(1, 3))
+    kets = [KET_0, KET_1, KET_PLUS_I, KET_MINUS_I]
+    fixed = {int(w): kets[int(rng.integers(4))] for w in rng.permutation(n)[free:]}
+    return Circuit(n, tuple(apps)), int(rng.integers(2**32)), fixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheduled_cases())
+def test_scheduled_runs_match_the_per_gate_loop(case):
+    c, seed, fixed = case
+    n = c.num_qubits
+    state = random_state(n, seed).reshape(-1)
+    assert np.abs(run(c, state) - per_gate(c, state)).max() <= 1e-12
+    want = kron_inputs(n, fixed).reshape((2,) * n + (-1,))
+    for app in c.gates:
+        want = _apply(want, app)
+    assert np.abs(evolve_columns(c, fixed) - want).max() <= 1e-12
+
+
+def in_order_products(c):
+    """Products the in-order cutter takes: maximal runs of consecutive gates
+    on at most ``_FUSE_QUBITS`` wires, less the runs of only phase gates."""
+    runs, wires = [[]], set()
+    for app in c.gates:
+        wires |= set(app.qubits)
+        if len(wires) > _FUSE_QUBITS:
+            runs.append([])
+            wires = set(app.qubits)
+        runs[-1].append(app.kind.gate)
+    return sum(not set(tags) <= set(DIAGONAL_ONES) for tags in runs)
+
+
+def test_scheduler_takes_fewer_products_than_the_in_order_cut(monkeypatch):
+    numpy = RecordingNumpy()
+    monkeypatch.setattr(sim, "np", numpy)
+    rng = np.random.default_rng(2026)
+    circuits = [wide_lowered(rng, 16) for _ in range(8)]
+    for c in circuits:
+        run(c, random_state(c.num_qubits, 7).reshape(-1))
+    assert sum(map(in_order_products, circuits)) == 72
+    assert len(numpy.products) == 52
+
+
+def test_scheduling_is_linear_in_the_gate_count(monkeypatch):
+    # The 8-wire lowering of 200 copies of every lowerable gate: 5201 gates,
+    # each looked at (taken off the scheduler's queue) once, plus once for
+    # every time it waits behind a run. The lookahead bound keeps that
+    # below a constant per gate; without it, every run rereads the rest.
+    looked = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            looked.append(1)
+            return super().popleft()
+
+    c = wide_lowered(np.random.default_rng(1), 6, copies=200)
+    assert (c.num_qubits, len(c.gates)) == (8, 5201)
+    monkeypatch.setattr(sim, "deque", CountingDeque)
+    steps = sim._schedule(c.gates)
+    assert sorted(map(id, (app for step in steps for app in step))) == sorted(map(id, c.gates))
+    assert len(looked) <= 4 * len(c.gates)
+
+
+def test_induce_peak_is_the_columns_plus_one_product():
+    # 12 wires, 10 of them free: the columns are 64 MiB. Evolving them takes
+    # one copy buffer beside them, and reading them one rotated copy; no
+    # step may hold a third array of their size.
+    source = wide_source(np.random.default_rng(10), 10)
+    low = lower(source, REAL_O2_CCZ)
+    n = low.circuit.num_qubits
+    columns = (1 << n) * (1 << source.num_qubits) * np.dtype(complex).itemsize
+    induce_lowered(low)  # fill the operator cache first
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = induce_lowered(low)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # 5% over two column sizes covers a rotation slab and the small operators.
+    assert peak <= 2.05 * columns
+    assert phase_aligned_distance(got.block, circuit_unitary(source)) <= 1e-12
+    assert got.catalyst_deficit <= 1e-12 and got.leakage <= 1e-12
 
 
 # --- width caps ---
