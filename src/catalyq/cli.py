@@ -174,7 +174,12 @@ def cmd_synthesize(args: argparse.Namespace) -> RunReport:
             "leakage": result.leakage,
             "total_qubits": float(result.lowered.circuit.num_qubits),
         },
-        extra={"circuit": circuit_text, "timings": result.timings, "method": result.method},
+        extra={
+            "circuit": circuit_text,
+            "report": json.loads(count_report(result.lowered).to_json()),
+            "timings": result.timings,
+            "method": result.method,
+        },
     )
     if not args.json:
         print(circuit_text)

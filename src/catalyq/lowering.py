@@ -35,6 +35,12 @@ order, to one contiguous span: its own expansion, nothing else. The prep is
 an emitted gate too, so a rule that names ``a`` needs X admitted: {H, CCZ}
 takes CS but not S or CZ.
 
+``merge_phases`` is a pass of its own, run before ``lower`` by a caller that
+wants it (``synth`` does): on each wire it adds up the Z, S, SDG and RZ that
+only diagonal gates (CZ, CS, CCZ) separate, and writes each sum as one gate
+or none. Given a |+i> catalyst wire, it also folds an RZ on w into an RY
+the catalyst takes while only CZ(w, catalyst) has flipped its sign.
+
 Verification is one ``sim.induce`` pass over the data columns: the lowered
 circuit runs on all 2^k basis inputs of its k data wires at once, with the
 catalyst fed |+i> and the ancilla |0>; it allocates 2^(n+k) amplitudes for n
@@ -267,6 +273,94 @@ def lower(c: Circuit, target: GateSetProfile, catalyst: int | None = None) -> Lo
         counts=counts,
         rule_instances=rule_instances,
     )
+
+
+# Gates diagonal on every wire they act on: a phase commutes through each.
+_DIAGONAL = frozenset({Gate.Z, Gate.S, Gate.SDG, Gate.RZ, Gate.CZ, Gate.CS, Gate.CCZ})
+# Each single-wire phase as the t of its diag(1, e^{it}) = RZ(t) up to phase
+# (None: RZ's own angle).
+_PHASE_ANGLE = {Gate.Z: math.pi, Gate.S: math.pi / 2.0, Gate.SDG: -math.pi / 2.0, Gate.RZ: None}
+# Largest gap at which a merged angle is written as the named phase, or nothing, it is near.
+PHASE_SNAP_TOL = 1e-12
+_SNAPS = ((0.0, None), (math.pi, Gate.Z), (-math.pi, Gate.Z),
+          (math.pi / 2.0, Gate.S), (-math.pi / 2.0, Gate.SDG))
+
+
+def _merged_phase(angle: float, wire: int) -> list[GateApp]:
+    """RZ(``angle``) on ``wire`` up to global phase, as nothing, Z, S, SDG or one RZ."""
+    t = math.remainder(angle, 2.0 * math.pi)
+    for at, gate in _SNAPS:
+        if abs(t - at) <= PHASE_SNAP_TOL:
+            return [] if gate is None else [GateApp(GateKind(gate), (wire,))]
+    return [GateApp(GateKind(Gate.RZ, t), (wire,))]
+
+
+def merge_phases(c: Circuit, catalyst: int | None = None) -> Circuit:
+    """``c`` with each wire's single-wire phases (Z, S, SDG, RZ) merged across
+    the gates diagonal on it (CZ, CS, CCZ), equal to ``c`` up to global phase.
+
+    A wire's phases add up until a gate that is not diagonal acts on it; their
+    sum is written just before that gate, or at the end of the circuit, as
+    nothing, Z, S, SDG or one RZ (``PHASE_SNAP_TOL``). No gate's CCZ cost
+    (``rule_cost``) rises, the other gates keep their order, and a second
+    pass changes nothing. ``lower`` does not call it, so each source gate
+    keeps its one span.
+
+    ``catalyst`` names a |+i> wire, read as ``induce_source`` reads it: then
+    the result equals ``c`` on the other wires with that one fed |+i> and
+    read out through <+i|. While only CZ(w, catalyst) and RY have acted on
+    it (a phase on it is left in place, and ends this), and nothing but
+    diagonal gates on each such w since, its sign is (-1)^(xor of those w),
+    and RY(t) on it is the phase -(t/2) times that sign. So an RY taken
+    while the sign is (-1)^w alone absorbs, as RY(t + a), any RZ(a) on w
+    that diagonal gates alone separate from it, before or after.
+    """
+    pending: dict[int, float] = {}
+    # The wires whose CZs have flipped the catalyst's sign (None once that
+    # sign is not known), and per wire the index in ``out`` of its absorbing RY.
+    flips: set[int] | None = set() if catalyst is not None else None
+    sinks: dict[int, int] = {}
+    out: list[GateApp] = []
+    for app in c.gates:
+        gate = app.kind.gate
+        sink = None
+        if flips is not None and catalyst in app.qubits:
+            if gate is Gate.CZ:
+                flips ^= set(app.qubits) - {catalyst}
+            elif gate is Gate.RY and len(flips) == 1:
+                (sink,) = flips
+            elif gate is not Gate.RY:
+                flips = None
+        elif gate in _PHASE_ANGLE:
+            w = app.qubits[0]
+            angle = _PHASE_ANGLE[gate]
+            if angle is None:
+                angle = app.kind.angle
+            if w in sinks:
+                out[sinks[w]] = _turned(out[sinks[w]], angle)
+            else:
+                pending[w] = pending.get(w, 0.0) + angle
+            continue
+        if gate not in _DIAGONAL:
+            if flips and not flips.isdisjoint(app.qubits):
+                flips = None
+            for w in app.qubits:
+                sinks.pop(w, None)
+                if w in pending:
+                    out += _merged_phase(pending.pop(w), w)
+        if sink is not None:
+            if sink in pending:
+                app = _turned(app, pending.pop(sink))
+            sinks[sink] = len(out)
+        out.append(app)
+    for w in sorted(pending):
+        out += _merged_phase(pending[w], w)
+    return Circuit(c.num_qubits, tuple(out))
+
+
+def _turned(app: GateApp, angle: float) -> GateApp:
+    """The rotation ``app`` turned further by ``angle``."""
+    return GateApp(GateKind(app.kind.gate, app.kind.angle + angle), app.qubits)
 
 
 _REPORT_NOTES = (

@@ -3,16 +3,31 @@
 ``decompose_su2m`` turns a 2^m x 2^m unitary (m <= 3) into single-qubit gates
 plus CZ using a cosine-sine recursion: the matrix splits as
 (A1 (+) A2) . multiplexed-RY . (B1 (+) B2), and each block-diagonal
-multiplexor demultiplexes into local unitaries around a multiplexed RZ. That
-RZ is one catalyst kick: a multiplexed RY on a |+i> catalyst, wire m, between
-two CZ(select, catalyst). |+i> is an RY eigenstate, so each RY there is a
-phase, and the CZs flip its sign when the select wire is 1. The catalyst
+multiplexor demultiplexes into local unitaries around a multiplexed RZ. Once
+lowered a CZ costs 1 CCZ and an RZ 2, while RY, H, X and Z cost none, so the
+emission spends its phases where they are free:
+
+- Every multiplexed RY unrolls into a CZ ladder (Z, like X, flips an RY),
+  2^k CZ for k controls. The middle one opens with a CZ that is diagonal
+  and follows a demultiplexor, so that demultiplexor's lower block absorbs
+  it (Shende-Bullock-Markov 2006, A.1): 2^k - 1 CZ there.
+- Each multiplexed RZ is paid by a |+i> catalyst, wire m. |+i> is an RY
+  eigenstate, so an RY on it is a phase, and a CZ(w, catalyst) flips the
+  sign of that phase when w is 1. With k >= 2 controls the centre is one
+  kick: a multiplexed RY on the catalyst between two CZ(select, catalyst),
+  2^k + 2 CZ. With one control it is one Gray-code walk of the catalyst over
+  the parities s, s xor r and r: 4 CZ for any diagonal on the two wires. The
+  one-qubit blocks beside a walk are emitted Z-Y-Z, and the RZ that faces
+  the walk joins it for free.
+- Any other one-qubit block is emitted in its shortest form, Y-Z-Y at
+  worst: one RZ between two free RYs.
+- ``lowering.merge_phases`` then adds up each wire's RZs across the gates
+  diagonal on it, and folds those that reach a walk's r step into it.
+
+For Haar targets that is 2, 15 and 69 CCZ at m = 1, 2 and 3. The catalyst
 returns as it came, and wire m exists only if some centre kicks it. Every
-multiplexed RY unrolls into a CZ ladder (Z, like X, flips an RY), 2^k CZ for
-k controls, so a kicked centre costs 2^k + 2 CZ. Each one-qubit block left is
-emitted Y-Z-Y: RY and H are in the target set, so only its one RZ costs CCZ
-(2) once lowered. Every dropped single-qubit phase is global, so the result
-matches the input in phase-aligned distance at working precision.
+dropped single-qubit phase is global, so the result matches the input in
+phase-aligned distance at working precision.
 
 ``synthesize`` chains that with the catalytic lowering pass, which kicks the
 same catalyst wire, yielding a circuit over {H, X, Z, RY, CCZ} plus one |+i>
@@ -45,6 +60,7 @@ import numpy as np
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz
 from .lowering import (
     VERIFY_METHOD, LoweredCircuit, LoweringCheck, check_induced, induce, induce_source, lower,
+    merge_phases, rule_cost,
 )
 from .sim import gate_matrix
 
@@ -109,6 +125,10 @@ _NAMED_SU2 = tuple(
 _RX90 = _entries(gate_matrix(GateKind(Gate.RX, math.pi / 2.0)))
 _RX90_DAG = _entries(gate_matrix(GateKind(Gate.RX, -math.pi / 2.0)))
 _ANGLE_EPS = 1e-12
+# A CZ is immutable and angle-free: each one is built once and shared.
+_cz = functools.cache(cz)
+# One-qubit gates that lower to at least one CCZ.
+_COSTLY = frozenset(g for g in Gate if g.arity == 1 and rule_cost(g).ccz)
 # Largest entrywise gap at which an SU(2) block is emitted as a named gate.
 _NAMED_EPS = 1e-12
 
@@ -119,6 +139,11 @@ def _wrap_pi(angle: float) -> float:
     return math.pi if wrapped <= -math.pi else wrapped
 
 
+def _turns(angle: float) -> bool:
+    """Whether a rotation by ``angle`` is not the identity, up to phase."""
+    return abs(_wrap_pi(angle)) > _ANGLE_EPS
+
+
 def _rot(gate: Gate, angle: float, qubit: int) -> list[GateApp]:
     angle = _wrap_pi(angle)
     if abs(angle) <= _ANGLE_EPS:
@@ -126,14 +151,10 @@ def _rot(gate: Gate, angle: float, qubit: int) -> list[GateApp]:
     return [GateApp(GateKind(gate, angle), (qubit,))]
 
 
-def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
-    """Shortest-form emission of a single-qubit unitary, up to global phase.
-
-    A named gate or a single rotation is emitted as such; any other block is
-    Y-Z-Y, so it lowers to one RZ (2 CCZ) between two RYs that cost none.
-    """
-    (a, b), (c, d) = u.tolist()
-    su = a, b, c, d = _su2(a, b, c, d)
+def _short_1q(su: tuple[complex, ...], qubit: int) -> list[GateApp] | None:
+    """The SU(2) block ``su`` as a named gate or a single rotation, up to
+    global phase, or None if it is neither."""
+    a, b, c, d = su
     for g, (p, q, r, s) in _NAMED_SU2:
         if (
             abs(a - p) <= _NAMED_EPS and abs(b - q) <= _NAMED_EPS
@@ -146,6 +167,20 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
         return _rot(Gate.RY, 2.0 * math.atan2(-b.real, a.real), qubit)
     if abs(b) <= _FAMILY_EPS:
         return _rot(Gate.RZ, 2.0 * cmath.phase(d), qubit)
+    return None
+
+
+def _emit_1q(u: np.ndarray, qubit: int) -> list[GateApp]:
+    """Shortest-form emission of a single-qubit unitary, up to global phase.
+
+    A named gate or a single rotation is emitted as such; any other block is
+    Y-Z-Y, so it lowers to one RZ (2 CCZ) between two RYs that cost none.
+    """
+    (a, b), (c, d) = u.tolist()
+    su = _su2(a, b, c, d)
+    short = _short_1q(su, qubit)
+    if short is not None:
+        return short
     # RX(pi/2) u RX(pi/2)^dag = Rz(phi) Ry(theta) Rz(lam) gives
     # u = Ry(phi) Rz(-theta) Ry(lam): one RZ between two free RYs.
     theta, phi, lam = _params_zyz(_mul(_mul(_RX90, su), _RX90_DAG))
@@ -163,6 +198,8 @@ def _ucry(angles: np.ndarray, ctrls: list[int], target: int) -> list[GateApp]:
     reversed, which is the same multiplexor, so it ends with the CZ that opens
     the second; that pair commutes with the CZ between them and cancels, which
     leaves 2^k CZ for k controls. An all-zero half collapses with its CZ pair.
+    The ladder opens with CZ(ctrls[0], target), which ``_qsd`` folds into the
+    demultiplexor before the middle multiplexor.
     """
     if not ctrls:
         return _rot(Gate.RY, float(angles[0]), target)
@@ -172,7 +209,7 @@ def _ucry(angles: np.ndarray, ctrls: list[int], target: int) -> list[GateApp]:
     summ = _ucry((lo + hi) / 2.0, ctrls[1:], target)
     if not diff:
         return summ
-    ladder = cz(ctrls[0], target)
+    ladder = _cz(ctrls[0], target)
     if summ and diff[-1].kind.gate is Gate.CZ and diff[-1] == summ[0]:
         return [ladder, *diff[:-1], ladder, *summ[1:]]
     return [ladder, *diff, ladder, *summ]
@@ -204,14 +241,68 @@ def _uncsd(dim: int):
     return functools.partial(csd, lwork=int(lwork.real), lrwork=int(lrwork))
 
 
+def _leaf(u: np.ndarray, qubit: int, walk_after: bool) -> tuple[list[GateApp], float]:
+    """A one-qubit block beside a catalyst walk, and the RZ angle the walk takes off it.
+
+    A block that ``_emit_1q`` emits with no costly gate stays as emitted, and
+    hands the walk nothing. Any other is Z-Y-Z, u = Rz(phi) Ry(theta) Rz(lam),
+    minus the RZ that faces the walk (phi when the walk comes after the block,
+    lam when it comes before): that RZ commutes with the walk and joins it for
+    free. A diagonal block hands the walk its whole angle.
+    """
+    (a, b), (c, d) = u.tolist()
+    su = _su2(a, b, c, d)
+    short = _short_1q(su, qubit)
+    if short is not None and not any(app.kind.gate in _COSTLY for app in short):
+        return short, 0.0
+    theta, phi, lam = _params_zyz(su)
+    ry = _rot(Gate.RY, theta, qubit)
+    if not ry:
+        return [], phi + lam
+    if walk_after:
+        return _rot(Gate.RZ, lam, qubit) + ry, phi
+    return ry + _rot(Gate.RZ, phi, qubit), lam
+
+
+# The catalyst's walk over the three parities of (s, r): s, then s xor r, then r.
+_PARITIES = ((1, 0), (1, 1), (0, 1))
+
+
+def _walk(coeffs: tuple[float, float, float], s: int, r: int, cat: int) -> list[GateApp]:
+    """Diagonal exp(i sum_p coeffs[p] (-1)^p(s, r)) on (s, r), up to global
+    phase, as one Gray-code walk of the |+i> catalyst ``cat``.
+
+    ``coeffs`` are the Walsh coefficients of the phase on the parities s,
+    s xor r and r. CZ(s, cat) and CZ(r, cat) step the catalyst's sign to
+    (-1)^p for the next parity p, and RY(-2 coeffs[p]) there adds the phase
+    coeffs[p] (-1)^p, since RY(t) |+-i> = exp(-+i t/2) |+-i>. With all three
+    that is CZ(s) RY CZ(r) RY CZ(s) RY CZ(r): 4 CZ. A zero coefficient is
+    skipped, so one on s or r alone costs 2 CZ, and all three zero nothing.
+    """
+    out: list[GateApp] = []
+    at = (0, 0)
+    for parity, coeff in zip(_PARITIES, coeffs):
+        step = _rot(Gate.RY, -2.0 * coeff, cat)
+        if step:
+            out += [_cz(w, cat) for w, i, j in zip((s, r), at, parity) if i != j]
+            out += step
+            at = parity
+    return out + [_cz(w, cat) for w, i in zip((s, r), at) if i]
+
+
 def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> list[GateApp]:
     """Circuit for blk0 (+) blk1 selected by ``select``: V, mRZ, W sandwich.
 
     blk0 blk1^dag = V D^2 V^dag (Schur), W = D V^dag blk1, so the multiplexor
-    equals (I (x) V) (D (+) D^dag) (I (x) W) with D diagonal. The centre, RZ on
-    ``select`` multiplexed by ``rest``, is one catalyst kick: a multiplexed RY
-    on the |+i> catalyst, an RY eigenstate, between two CZ(select, catalyst),
-    which flip the sign of each RY, and so of its phase, when ``select`` is 1.
+    equals (I (x) V) (D (+) D^dag) (I (x) W) with D = diag(exp(i lam)). The
+    centre, a phase on (select, rest), is paid for by the |+i> catalyst, an
+    RY eigenstate. With two or more ``rest`` wires it is one kick: a
+    multiplexed RY on the catalyst between two CZ(select, catalyst), which
+    flip the sign of each RY, and so of its phase, when ``select`` is 1. With
+    one it is a ``_walk`` with Walsh coefficients (lam0 + lam1) / 2 on s and
+    (lam0 - lam1) / 2 on s xor r. When the walk passes s xor r, W and V are
+    ``_leaf`` blocks and their facing RZs join it on r. A centre that is the
+    identity leaves one block, V W.
     """
     prod = blk0 @ blk1.conj().T
     # The blocks are at most 4x4, so LAPACK takes its unblocked path and the
@@ -223,9 +314,46 @@ def _demux(blk0: np.ndarray, blk1: np.ndarray, select: int, rest: list[int]) -> 
     w = (np.exp(1j * lam)[:, None] * v.conj().T) @ blk1
     # ``rest`` always ends at wire m - 1, so the catalyst, wire m, follows it.
     cat = rest[-1] + 1
-    kick = _ucry(-2.0 * lam, rest, cat)
-    centre = [cz(select, cat), *kick, cz(select, cat)] if kick else []
-    return _qsd(w, rest) + centre + _qsd(v, rest)
+    if len(rest) > 1:
+        kick = _ucry(-2.0 * lam, rest, cat)
+        if not kick:
+            # D is the identity, so the multiplexor is I (x) V W: one block.
+            return _qsd(v @ w, rest)
+        return _qsd(w, rest) + [_cz(select, cat), *kick, _cz(select, cat)] + _qsd(v, rest)
+    (r,) = rest
+    lam0, lam1 = lam.tolist()
+    on_s, on_sr = (lam0 + lam1) / 2.0, (lam0 - lam1) / 2.0
+    if _turns(-2.0 * on_sr):
+        # The walk passes the s xor r parity, so it costs 4 CZ whichever
+        # parities it takes: the leaves' facing RZs join it on r for free.
+        before, from_w = _leaf(w, r, walk_after=True)
+        after, from_v = _leaf(v, r, walk_after=False)
+        # RZ(a) on r is the phase -(a / 2) (-1)^r.
+        coeffs = (on_s, on_sr, -(from_w + from_v) / 2.0)
+        return before + _walk(coeffs, select, r, cat) + after
+    if _turns(-2.0 * on_s):
+        return _emit_1q(w, r) + _walk((on_s, 0.0, 0.0), select, r, cat) + _emit_1q(v, r)
+    return _emit_1q(v @ w, r)
+
+
+def _fold_opening_cz(
+    middle: list[GateApp], v1h: np.ndarray, v2h: np.ndarray, select: int, rest: list[int]
+) -> tuple[list[GateApp], np.ndarray]:
+    """The middle multiplexor and the block v2h, with the multiplexor's
+    opening CZ(rest[0], select), if it has one, folded into v2h.
+
+    That CZ comes right after the demultiplexor of v1h (+) v2h and is
+    diagonal, so it is Z on rest[0], the high bit of v2h's rows, when
+    ``select`` is 1: negating the lower half of v2h's rows does its work.
+    It stays when v1h = v2h: their demultiplexor has no centre, and the
+    fold would give it one.
+    """
+    if not middle or middle[0] != _cz(rest[0], select):
+        return middle, v2h
+    if np.abs(v1h - v2h).max() <= _NAMED_EPS:
+        return middle, v2h
+    half = v2h.shape[0] // 2
+    return middle[1:], np.concatenate((v2h[:half], -v2h[half:]))
 
 
 def _qsd(u: np.ndarray, qubits: list[int]) -> list[GateApp]:
@@ -238,11 +366,8 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[GateApp]:
     if info != 0:
         raise np.linalg.LinAlgError(f"CS decomposition not found (uncsd info {info})")
     select, rest = qubits[0], qubits[1:]
-    return (
-        _demux(v1h, v2h, select, rest)
-        + _ucry(2.0 * theta, rest, select)
-        + _demux(u1, u2, select, rest)
-    )
+    middle, v2h = _fold_opening_cz(_ucry(2.0 * theta, rest, select), v1h, v2h, select, rest)
+    return _demux(v1h, v2h, select, rest) + middle + _demux(u1, u2, select, rest)
 
 
 def _decompose(u: np.ndarray) -> Circuit:
@@ -253,7 +378,8 @@ def _decompose(u: np.ndarray) -> Circuit:
         raise SynthesisError(f"dimension {dim} is not 2^m with m in 1..3")
     gates = tuple(_qsd(u, list(range(m))))
     # Wire m, the catalyst, exists only if some gate uses it.
-    return Circuit(m + any(app.top == m for app in gates), gates)
+    kicked = any(app.top == m for app in gates)
+    return merge_phases(Circuit(m + kicked, gates), m if kicked else None)
 
 
 def _catalyst(circuit: Circuit, dim: int) -> int | None:

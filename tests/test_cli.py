@@ -267,6 +267,18 @@ def test_synthesize_seeded(capsys):
     assert payload["method"] == "dense_columns"
 
 
+def test_synthesize_json_reports_ccz_per_rule(capsys):
+    # The lowered circuit's count report, as `lower --json` gives it: a Haar
+    # target fires the CZ and RZ rules, at 1 and 2 CCZ per instance.
+    code, payload, _ = run_json(["synthesize", "--m", "3", "--seed", "7"], capsys)
+    assert code == 0
+    report = payload["report"]
+    assert report["ccz_per_other_rule"]["CZ"] == 1.0
+    assert report["ccz_per_other_rule"]["RZ"] == 2.0
+    assert report["counts"]["CCZ"] == payload["metrics"]["ccz_count"] == 69.0
+    assert report["catalyst"] is True and report["ancilla"] == 1
+
+
 def test_synthesize_text_mode_prints_circuit(capsys):
     code, out, _ = run_cli(["synthesize", "--m", "1", "--seed", "3"], capsys)
     assert code == 0

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalyq import lowering
@@ -44,12 +44,14 @@ from catalyq.lowering import (
     check_lemmas,
     count_report,
     induce,
+    induce_source,
     induced_block,
     lower,
+    merge_phases,
     rule_cost,
     verify_lowering,
 )
-from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary
+from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary, phase_aligned_distance
 from conftest import random_circuit
 from oracles import project_wires
 
@@ -700,3 +702,145 @@ def test_count_report_rates_every_rule_that_fired():
     ]
     assert payload["ccz_per_cs"] == payload["ccz_per_s"] == 2.0
     assert payload["ccz_per_other_rule"] == {"CZ": 1.0, "SDG": 2.0, "RZ": 2.0, "Y": 0.0}
+
+
+# --- merge_phases ---
+
+# ``synth``'s vocabulary plus S, SDG, CS and CCZ.
+MERGE_TAGS = (Gate.H, Gate.X, Gate.Z, Gate.S, Gate.SDG, Gate.RX, Gate.RY, Gate.RZ,
+              Gate.CZ, Gate.CS, Gate.CCZ)
+# Multiples of pi/4 land merged sums on Z, S, SDG and nothing; the rest do not.
+MERGE_ANGLES = st.one_of(
+    st.sampled_from([k * math.pi / 4.0 for k in range(-8, 9)]), st.floats(-7.0, 7.0)
+)
+
+
+@st.composite
+def merge_sources(draw, max_wires=4, max_gates=24):
+    n = draw(st.integers(1, max_wires))
+    pool = [g for g in MERGE_TAGS if g.arity <= n]
+    apps = []
+    for gate in draw(st.lists(st.sampled_from(pool), max_size=max_gates)):
+        qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
+        angle = draw(MERGE_ANGLES) if gate.takes_angle else None
+        apps.append(GateApp(GateKind(gate, angle), qubits))
+    return Circuit(n, tuple(apps))
+
+
+def ccz_cost(c):
+    return sum(rule_cost(app.kind.gate).ccz for app in c.gates)
+
+
+def merge_faults(src, catalyst=None):
+    """What ``merge_phases`` gets wrong on ``src``: its operator (the whole
+    unitary, or with ``catalyst`` fed |+i> and read out through <+i|) off
+    by more than 1e-12, its CCZ cost up, or a second pass changing it."""
+    merged = merge_phases(src, catalyst)
+    faults = []
+    if catalyst is None:
+        distance = phase_aligned_distance(circuit_unitary(merged), circuit_unitary(src))
+    else:
+        # A catalyst that need not come back induces a block that need not be
+        # unitary: align the phase on the overlap, then take the largest gap.
+        got, want = (induce_source(c, catalyst).block for c in (merged, src))
+        overlap = np.vdot(want, got)
+        phase = overlap / abs(overlap) if abs(overlap) else 1.0
+        distance = float(np.abs(got - phase * want).max())
+    if not distance <= 1e-12:
+        faults.append(f"distance {distance:.3e}")
+    if ccz_cost(merged) > ccz_cost(src):
+        faults.append(f"CCZ {ccz_cost(src)} -> {ccz_cost(merged)}")
+    if merge_phases(merged, catalyst) != merged:
+        faults.append("a second pass changes it")
+    return faults
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_sources())
+def test_merge_phases_keeps_the_operator_and_never_costs_more(src):
+    assert merge_faults(src) == []
+
+
+@st.composite
+def catalyst_sources(draw, max_data=2, max_gates=24):
+    """Phases and other ``MERGE_TAGS`` gates on the data wires, mixed with
+    CZ(w, catalyst), RY on the catalyst (the last wire) and other gates on it."""
+    n = draw(st.integers(1, max_data))
+    cat = n
+    pool = [g for g in MERGE_TAGS if g.arity <= n]
+    apps = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(["phase", "data", "cz", "ry", "other"]))
+        if kind == "phase":
+            apps.append(rz(draw(MERGE_ANGLES), draw(st.integers(0, n - 1))))
+        elif kind == "data":
+            gate = draw(st.sampled_from(pool))
+            qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
+            angle = draw(MERGE_ANGLES) if gate.takes_angle else None
+            apps.append(GateApp(GateKind(gate, angle), qubits))
+        elif kind == "cz":
+            apps.append(cz(draw(st.integers(0, n - 1)), cat))
+        elif kind == "ry":
+            apps.append(ry(draw(MERGE_ANGLES), cat))
+        else:
+            gate = draw(st.sampled_from([Gate.H, Gate.X, Gate.Z, Gate.S]))
+            apps.append(GateApp(GateKind(gate), (cat,)))
+    return Circuit(n + 1, tuple(apps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalyst_sources())
+# H on wire 0 after CZ(0, catalyst): the catalyst's sign no longer reads wire 0.
+@example(circuit_of(2, cz(0, 1), h(0), ry(0.7, 1), rz(0.5, 0)))
+def test_merge_phases_with_a_catalyst_keeps_the_induced_operator(src):
+    assert merge_faults(src, catalyst=src.num_qubits - 1) == []
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        (circuit_of(1, s(0), s(0)), circuit_of(1, z(0))),
+        (circuit_of(1, s(0), GateApp(GateKind(Gate.SDG), (0,))), circuit_of(1)),
+        (circuit_of(1, z(0), z(0), rz(math.pi / 2, 0)), circuit_of(1, s(0))),
+        (circuit_of(2, rz(0.3, 0), cz(0, 1), cs(1, 0), rz(-0.3, 0)), circuit_of(2, cz(0, 1), cs(1, 0))),
+        (circuit_of(2, rz(0.2, 0), cz(0, 1), rz(0.3, 0), h(0), rz(0.4, 1)),
+         circuit_of(2, cz(0, 1), rz(0.5, 0), h(0), rz(0.4, 1))),
+        (circuit_of(3, rz(0.2, 1), ccz(0, 1, 2), x(1), rz(0.5, 1), ry(0.1, 1), rz(0.6, 1)),
+         circuit_of(3, ccz(0, 1, 2), rz(0.2, 1), x(1), rz(0.5, 1), ry(0.1, 1), rz(0.6, 1))),
+    ],
+)
+def test_merge_phases_writes_each_sum_once(src, want):
+    assert merge_phases(src) == want
+
+
+def test_merge_phases_feeds_an_rz_to_the_catalyst_walk():
+    # Wire 2 is the catalyst. The RY between the CZ(0, 2) pair is taken while
+    # the catalyst's sign is (-1)^x0, so RZs on wire 0 on either side join it;
+    # the one across H, and the one at the RY under both flips, stay.
+    walk = (cz(0, 2), ry(0.7, 2), cz(1, 2), ry(0.4, 2), cz(0, 2), cz(1, 2))
+    src = circuit_of(3, rz(0.2, 0), rz(0.5, 1), *walk, rz(0.1, 0), h(0), rz(0.3, 0))
+    want = circuit_of(
+        3, cz(0, 2), ry(0.7 + 0.2 + 0.1, 2), cz(1, 2), ry(0.4, 2), cz(0, 2), cz(1, 2),
+        h(0), rz(0.3, 0), rz(0.5, 1),
+    )
+    got = merge_phases(src, catalyst=2)
+    assert [(a.kind.gate, a.qubits) for a in got.gates] == [(a.kind.gate, a.qubits) for a in want.gates]
+    for a, b in zip(got.gates, want.gates):
+        assert a.kind.angle == pytest.approx(b.kind.angle)
+    assert merge_faults(src, catalyst=2) == []
+    # Without the catalyst named the RZs only merge with one another.
+    assert [a.kind.gate for a in merge_phases(src).gates].count(Gate.RZ) == 3
+
+
+@pytest.mark.parametrize("across", [Gate.H, Gate.RY, Gate.X])
+def test_a_merge_across_a_non_diagonal_gate_is_caught(monkeypatch, across):
+    monkeypatch.setattr(lowering, "_DIAGONAL", lowering._DIAGONAL | {across})
+    angle = 0.7 if across.takes_angle else None
+    src = circuit_of(1, rz(0.3, 0), GateApp(GateKind(across, angle), (0,)), rz(0.5, 0))
+    assert merge_faults(src)
+    # The property's random circuits find it too.
+    rng = np.random.default_rng(11)
+    caught = sum(
+        bool(merge_faults(random_circuit(rng, 3, 12, tags=MERGE_TAGS))) for _ in range(40)
+    )
+    assert caught > 0
