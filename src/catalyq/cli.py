@@ -64,23 +64,16 @@ def _read_circuit(path: str) -> Circuit:
         return parse_circuit(fh.read())
 
 
-def _gadget_error(g) -> float:
-    """Entrywise error of the induced operator against the claim (phase NOT
-    quotiented), or the catalyst's leakage if larger; 1.0 if not catalytic."""
-    block, rep = induced_on_data(g)
-    if block.size == 0:
-        return 1.0
-    return max(float(np.abs(block - g.claimed_induced).max()), rep.residual_norm)
-
-
 def cmd_verify(args: argparse.Namespace) -> RunReport:
     tol = args.tol
     steps = args.theta_steps
     if steps < 1:
         raise ValueError(f"--theta-steps must be at least 1, got {steps}")
-    max_rz = max(_gadget_error(rz_gadget(2.0 * math.pi * k / steps)) for k in range(steps))
-    s_err = _gadget_error(s_gadget())
-    cs_err = _gadget_error(cs_gadget())
+    rzs = [rz_gadget(2.0 * math.pi * k / steps) for k in range(steps)]
+    max_rz, s_err, cs_err = (
+        max(induced_on_data(g).error(g.claimed_induced) for g in gs)
+        for gs in (rzs, [s_gadget()], [cs_gadget()])
+    )
     flip = catalyst_flip_check()
     flip_err = abs(flip.phase - math.pi / 4.0)
     if not flip.ok:

@@ -19,10 +19,10 @@ from .sim import (
     KET_1,
     KET_MINUS_I,
     KET_PLUS_I,
-    CatalyticReport,
-    catalytic_report,
+    Induced,
     evolve_columns,
     gate_matrix,
+    induce,
     project,
 )
 
@@ -50,17 +50,15 @@ class AuxWire:
 class Gadget:
     """A circuit claiming: catalyst preserved, ``claimed_induced`` on data.
 
-    ``claimed_phase`` is the global phase of the induced operator relative to
-    the plain named target (e.g. theta/2 relative to Rz(theta)). ``aux`` wires
-    enter and leave in fixed basis states and are not part of the data
-    register.
+    The claim carries its global phase (e.g. exp(i theta/2) Rz(theta) for
+    the Rz gadget), which no check quotients. ``aux`` wires enter and leave
+    in fixed basis states and are not part of the data register.
     """
 
     circuit: Circuit
     catalyst_qubit: int
     data_qubits: tuple[int, ...]
     claimed_induced: np.ndarray
-    claimed_phase: float
     aux: tuple[AuxWire, ...] = ()
 
 
@@ -79,7 +77,6 @@ def rz_gadget(theta: float) -> Gadget:
         catalyst_qubit=0,
         data_qubits=(1,),
         claimed_induced=induced,
-        claimed_phase=theta / 2.0,
     )
 
 
@@ -96,7 +93,6 @@ def s_gadget() -> Gadget:
         catalyst_qubit=0,
         data_qubits=(1,),
         claimed_induced=_S.copy(),
-        claimed_phase=0.0,
     )
 
 
@@ -112,25 +108,19 @@ def cs_gadget() -> Gadget:
         catalyst_qubit=0,
         data_qubits=(1, 2),
         claimed_induced=_CS.copy(),
-        claimed_phase=0.0,
     )
 
 
-def induced_on_data(g: Gadget) -> tuple[np.ndarray, CatalyticReport]:
-    """Extract the operator a gadget applies to its data register.
-
-    One column pass feeds the catalyst |+i> and each aux wire its in-bit; the
-    block projects each aux wire onto its out-bit, acts on ``g.data_qubits``
-    (ascending by construction) and is empty if the gadget is not catalytic.
-    """
+def induced_on_data(g: Gadget) -> Induced:
+    """``sim.induce`` of a gadget: the catalyst fed |+i> and read <+i|, each
+    aux wire fed its in-bit and read at its out-bit, so the block acts on
+    ``g.data_qubits`` (ascending by construction) and an aux wire that misses
+    its out-bit reads as leakage."""
     ins = {g.catalyst_qubit: KET_PLUS_I}
     outs = dict(ins)
     for a in g.aux:
         ins[a.qubit], outs[a.qubit] = _BITS[a.in_bit], _BITS[a.out_bit]
-    report = catalytic_report(evolve_columns(g.circuit, ins), g.catalyst_qubit, outs)
-    if report.induced is None:
-        return np.zeros((0, 0), dtype=complex), report
-    return report.induced, report
+    return induce(g.circuit, ins, outs, g.catalyst_qubit)
 
 
 @dataclass(frozen=True)
@@ -196,8 +186,7 @@ def s_via_prep(prep: Circuit, target_qubit: int) -> Gadget:
         circuit=Circuit(n, gates),
         catalyst_qubit=cat,
         data_qubits=(data, *extras),
-        claimed_induced=np.kron(_S, np.eye(1 << len(extras))),
-        claimed_phase=check.phase,
+        claimed_induced=np.exp(1j * check.phase) * np.kron(_S, np.eye(1 << len(extras))),
         aux=(AuxWire(target_qubit, 0, 1),),
     )
 

@@ -442,12 +442,11 @@ _LEMMA_THETAS = [2.0 * math.pi * k / 16.0 for k in range(16)] + [0.7, -2.3]
 def _rule_error(gate: Gate, angle: float | None) -> float:
     """Error of ``RULES[gate]``, read by ``induce`` off ``lower``'s output for
     ``gate`` alone under a target that admits every other tag (one level
-    fires): the block's entrywise error, or its deficit or leakage if larger."""
+    fires), as ``Induced.error`` against the gate's matrix."""
     kind = GateKind(gate, angle)
     source = Circuit(gate.arity, (GateApp(kind, tuple(range(gate.arity))),))
     one_level = GateSetProfile(f"all but {gate.value}", lambda g: g is not gate)
-    got = induce(lower(source, one_level))
-    return max(float(np.abs(got.block - gate_matrix(kind)).max()), got.catalyst_deficit, got.leakage)
+    return induce(lower(source, one_level)).error(gate_matrix(kind))
 
 
 def check_lemmas() -> float:

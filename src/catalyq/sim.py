@@ -62,9 +62,9 @@ than 4^5 = 1024 amplitudes:
 (``project`` fixes output kets), with the catalyst deficit and the leakage
 as norms of the amplitude that leaves the catalyst and the block; it rotates
 one copy of the columns in place, so it never holds more than the columns
-and that copy;
-``catalytic_report`` factors such columns across a catalyst wire, for
-gadgets and ``extract_catalytic`` alike.
+and that copy. It is the one catalytic readout: lowerings, the rule table
+and gadgets call it, and ``extract_catalytic`` reads an explicit unitary's
+columns the same way.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .ir import Circuit, Gate, GateApp, GateKind
 
 MAX_DENSE_QUBITS = 12
 MAX_STATE_QUBITS = 24
-# Default bound on a catalytic factoring's residual and non-unitarity.
+# Default bound on ``extract_catalytic``'s catalyst deficit and non-unitarity.
 CATALYTIC_TOL = 1e-12
 # Largest | ||ket|| - 1 | of a catalyst ket that ``extract_catalytic`` accepts.
 KET_NORM_TOL = 1e-12
@@ -469,6 +469,11 @@ class Induced:
     catalyst_deficit: float
     leakage: float
 
+    def error(self, want: np.ndarray) -> float:
+        """The block's largest entrywise gap to ``want`` (global phase not
+        quotiented), or the deficit or the leakage if larger."""
+        return max(float(np.abs(self.block - want).max()), self.catalyst_deficit, self.leakage)
+
 
 # Elements of the columns one in-place rotation step works on: 1 MiB.
 _SLAB = 1 << 16
@@ -511,14 +516,18 @@ def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> In
     """
     if set(ins) != set(outs):
         raise ValueError("ins and outs must fix the same wires")
-    t = _rotated(evolve_columns(c, ins), outs)
-    f = len(outs)
+    at = None if catalyst is None else sorted(outs).index(catalyst)
+    return _read(_rotated(evolve_columns(c, ins), outs), len(outs), at)
+
+
+def _read(t: np.ndarray, f: int, at: int | None) -> Induced:
+    """``Induced`` from a ``_rotated`` copy whose first ``f`` axes are the
+    fixed wires, the catalyst's ``at``-th among them (None: no catalyst).
+    It takes the copy alone, so the columns it was made from can go."""
     block = t[(0,) * f].reshape(-1, t.shape[-1])
     sq = np.abs(t)
     sq *= sq
-    deficit = 0.0
-    if catalyst is not None:
-        deficit = _largest_norm(sq[(_ALL,) * sorted(outs).index(catalyst) + (1,)])
+    deficit = 0.0 if at is None else _largest_norm(sq[(_ALL,) * at + (1,)])
     sq[(0,) * f] = 0.0
     return Induced(block=block, catalyst_deficit=deficit, leakage=_largest_norm(sq))
 
@@ -595,35 +604,12 @@ def _grown(tokens: list[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalyticReport:
-    """Result of factoring a circuit's output across one designated catalyst wire."""
+    """``extract_catalytic``'s verdict: ``induced`` is the operator on the
+    other wires, or None unless ``is_catalytic``."""
 
     is_catalytic: bool
     induced: np.ndarray | None
-    residual_norm: float
-    catalyst_overlap_deficit: float
-
-
-def catalytic_report(
-    cols: np.ndarray, catalyst: int, outs: Kets, tol: float = CATALYTIC_TOL
-) -> CatalyticReport:
-    """Factor ``evolve_columns`` output, catalyst fed cat = ``outs[catalyst]``.
-
-    Catalytic iff ||<cat_perp| cols||_F <= tol and V = <cat| cols has columns
-    orthonormal within tol; the induced operator is ``induce``'s block, and
-    the deficit V's worst column shortfall, 1 - ||<cat| col||.
-    """
-    t = _rotated(cols, outs)
-    at = (_ALL,) * sorted(outs).index(catalyst)
-    kept = t[at + (0,)].reshape(-1, cols.shape[-1])
-    residual = float(np.linalg.norm(t[at + (1,)]))
-    unitarity = float(np.linalg.norm(kept.conj().T @ kept - np.eye(kept.shape[1])))
-    ok = residual <= tol and unitarity <= tol
-    return CatalyticReport(
-        is_catalytic=ok,
-        induced=t[(0,) * len(outs)].reshape(-1, cols.shape[-1]) if ok else None,
-        residual_norm=residual,
-        catalyst_overlap_deficit=float(np.max(1.0 - np.linalg.norm(kept, axis=0))),
-    )
+    catalyst_deficit: float
 
 
 def extract_catalytic(
@@ -635,7 +621,9 @@ def extract_catalytic(
     """Test whether ``u`` acts as (catalyst kept intact) x (unitary on the rest).
 
     The catalyst ket goes into ``u``'s input axis, which leaves the columns
-    ``evolve_columns`` would give for it; ``catalytic_report`` reads them.
+    ``evolve_columns`` would give for it, read as ``induce`` reads them.
+    Catalytic iff the catalyst deficit is within ``tol`` and, since ``u`` may
+    be any matrix, the induced block is unitary within ``tol`` (Frobenius).
     When it holds, u (|cat> tensor |psi>) = |cat> tensor induced |psi>.
     """
     n = _num_qubits_of(u.shape[0])
@@ -647,7 +635,11 @@ def extract_catalytic(
     if cat.shape != (2,) or abs(np.linalg.norm(cat) - 1.0) > KET_NORM_TOL:
         raise ValueError("catalyst state must be a normalized single-qubit vector")
     t = np.asarray(u, dtype=complex).reshape((2,) * (2 * n))
-    cols = np.tensordot(t, cat, axes=([n + catalyst_qubit], [0]))
-    return catalytic_report(
-        cols.reshape((2,) * n + (-1,)), catalyst_qubit, {catalyst_qubit: cat}, tol
+    cols = np.tensordot(t, cat, axes=([n + catalyst_qubit], [0])).reshape((2,) * n + (-1,))
+    got = _read(_rotated(cols, {catalyst_qubit: cat}), 1, 0)
+    b = got.block
+    unitarity = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
+    ok = got.catalyst_deficit <= tol and unitarity <= tol
+    return CatalyticReport(
+        is_catalytic=ok, induced=b if ok else None, catalyst_deficit=got.catalyst_deficit
     )

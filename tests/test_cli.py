@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from catalyq import cli, lowering
+from catalyq import cli, gadgets, lowering
 from catalyq.cli import main
 from catalyq.ir import HCCZ, Gate, check_membership, gate_counts, parse_circuit
 from catalyq.synth import format_matrix, haar_su, synthesize
@@ -102,6 +102,23 @@ def test_verify_fails_when_a_rule_spends_its_catalyst(monkeypatch, capsys):
     assert code == 1
     assert payload["ok"] is False
     assert payload["metrics"]["rule_lemma_error"] >= 1e-6
+
+
+def test_verify_fails_when_a_gadget_spends_its_catalyst(monkeypatch, capsys):
+    # Every gadget block exact, but each catalyst comes back 1e-6 short.
+    real = gadgets.induce
+
+    def spent(*args):
+        got = real(*args)
+        return dataclasses.replace(got, catalyst_deficit=got.catalyst_deficit + 1e-6)
+
+    monkeypatch.setattr(gadgets, "induce", spent)
+    code, payload, _ = run_json(["verify", "--theta-steps", "4"], capsys)
+    assert code == 1
+    assert payload["ok"] is False
+    for key in ("s_gadget_error", "cs_gadget_error", "max_rz_error"):
+        assert payload["metrics"][key] >= 1e-6
+    assert payload["metrics"]["rule_lemma_error"] <= 1e-12
 
 
 # --- lower ---

@@ -1,6 +1,7 @@
 """Catalytic gadgets: claimed operators, catalyst restoration, prep checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,11 @@ from catalyq.gadgets import (
     s_via_prep,
     verify_one_prep,
 )
-from catalyq.ir import Circuit, Gate, GateApp, GateKind, ccz, circuit_of, gate_counts, h, x
+from catalyq.ir import Circuit, Gate, GateApp, GateKind, ccz, circuit_of, gate_counts, h, x, z
 from catalyq.sim import (
+    CATALYTIC_TOL,
+    KET_0,
+    KET_1,
     KET_MINUS_I,
     KET_PLUS_I,
     MAX_DENSE_QUBITS,
@@ -43,25 +47,29 @@ def rz_matrix(theta):
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
+def assert_induces(g, want, tol):
+    """``induced_on_data(g)``'s block is within ``tol`` of ``want`` entrywise,
+    and its catalyst deficit and leakage are within ``CATALYTIC_TOL``."""
+    got = induced_on_data(g)
+    assert max(got.catalyst_deficit, got.leakage) <= CATALYTIC_TOL
+    assert np.abs(got.block - want).max() <= tol
+
+
 # --- rz gadget ---
 
 def test_rz_gadget_zero_angle_is_identity():
     g = rz_gadget(0.0)
     assert np.array_equal(circuit_unitary(g.circuit), np.eye(4))
-    block, rep = induced_on_data(g)
-    assert rep.is_catalytic
-    assert np.abs(block - np.eye(2)).max() <= 1e-15
+    assert_induces(g, np.eye(2), 1e-15)
 
 
 def test_rz_gadget_half_pi_induces_s():
-    block, rep = induced_on_data(rz_gadget(math.pi / 2))
-    assert rep.is_catalytic
-    assert np.abs(block - S_MAT).max() <= 1e-13
+    assert_induces(rz_gadget(math.pi / 2), S_MAT, 1e-13)
 
 
 def test_rz_gadget_pi_induces_z():
     g = rz_gadget(math.pi)
-    block, _ = induced_on_data(g)
+    block = induced_on_data(g).block
     assert np.abs(block - np.diag([1.0, -1.0])).max() <= 1e-13
     # Full unitary: identity on data |0>, minus identity on data |1>.
     assert np.abs(circuit_unitary(g.circuit) - np.diag([1.0, -1, 1, -1])).max() <= 1e-13
@@ -122,10 +130,8 @@ def test_s_gadget_action_on_basis_data():
 
 
 def test_s_gadget_induces_s_exactly():
-    block, rep = induced_on_data(s_gadget())
-    assert rep.is_catalytic
-    assert np.abs(block - S_MAT).max() <= 1e-13
-    assert s_gadget().claimed_phase == 0.0
+    assert_induces(s_gadget(), S_MAT, 1e-13)
+    assert np.array_equal(s_gadget().claimed_induced, S_MAT)  # no global phase
 
 
 # --- controlled-s gadget ---
@@ -158,15 +164,13 @@ def test_cs_gadget_action_on_basis_data():
 
 
 def test_cs_gadget_induces_controlled_s():
-    block, rep = induced_on_data(cs_gadget())
-    assert rep.is_catalytic
-    assert np.abs(block - np.diag([1, 1, 1, 1j])).max() <= 1e-13
+    assert_induces(cs_gadget(), np.diag([1, 1, 1, 1j]), 1e-13)
 
 
 def test_cs_gadget_control_one_block_is_s():
     # On the subspace where the first data qubit is |1>, the induced operator
     # acts as S on the second data qubit.
-    block, _ = induced_on_data(cs_gadget())
+    block = induced_on_data(cs_gadget()).block
     assert np.abs(block[2:, 2:] - S_MAT).max() <= 1e-13
     assert np.abs(block[:2, :2] - np.eye(2)).max() <= 1e-13
 
@@ -179,7 +183,7 @@ def test_catalyst_restored_across_gadgets():
         u = circuit_unitary(g.circuit)
         rep = extract_catalytic(u, g.catalyst_qubit, KET_PLUS_I)
         assert rep.is_catalytic
-        assert rep.catalyst_overlap_deficit <= 1e-12
+        assert rep.catalyst_deficit <= 1e-12
 
 
 # --- the column pass against the full dense unitary ---
@@ -197,51 +201,63 @@ def gadget_cases(draw):
         aux = (AuxWire(draw(st.sampled_from(rest)), draw(st.integers(0, 1)),
                        draw(st.integers(0, 1))),)
     data = tuple(q for q in rest if q not in {a.qubit for a in aux})
-    return Gadget(c, cat, data, np.eye(1 << len(data)), 0.0, aux)
+    return Gadget(c, cat, data, np.eye(1 << len(data)), aux)
 
 
-def full_unitary_report(g, tol=1e-12):
-    """(block, is_catalytic, residual_norm, deficit) read off the full dense
-    unitary: the catalyst sandwiched by project_wires, then the columns where
-    each aux wire holds its in-bit and, for the block, the rows where it holds
-    its out-bit."""
+def full_unitary_report(g):
+    """(block, deficit, leakage) read off the full dense unitary.
+
+    For each pair of a catalyst bra (<+i| or <-i|) and aux out-bits,
+    project_wires sandwiches the unitary between it and the declared inputs.
+    The declared pair (<+i|, out-bits) is the block; the deficit is the
+    largest column norm over the <-i| pairs, and the leakage over all but
+    the declared one."""
     n = g.circuit.num_qubits
     u = circuit_unitary(g.circuit)
-    cat = {g.catalyst_qubit: KET_PLUS_I}
-    v = project_wires(u, n, cat, cat)
-    r = project_wires(u, n, cat, {g.catalyst_qubit: KET_MINUS_I})
-    rest = [q for q in range(n) if q != g.catalyst_qubit]
+    bits = (KET_0, KET_1)
+    ins = {g.catalyst_qubit: KET_PLUS_I, **{a.qubit: bits[a.in_bit] for a in g.aux}}
+    parts = {}
+    for bra, out_bits in itertools.product((KET_PLUS_I, KET_MINUS_I),
+                                           itertools.product((0, 1), repeat=len(g.aux))):
+        outs = {g.catalyst_qubit: bra, **{a.qubit: bits[b] for a, b in zip(g.aux, out_bits)}}
+        parts[bra is KET_MINUS_I, out_bits] = project_wires(u, n, ins, outs)
+    declared = (False, tuple(a.out_bit for a in g.aux))
 
-    def holding(which):
-        return [i for i in range(1 << (n - 1))
-                if all((i >> (n - 2 - rest.index(a.qubit))) & 1 == getattr(a, which)
-                       for a in g.aux)]
+    def largest_norm(keys):
+        return float(np.sqrt(sum((np.abs(parts[k]) ** 2).sum(axis=0) for k in keys).max()))
 
-    cols, rows = holding("in_bit"), holding("out_bit")
-    v, r = v[:, cols], r[:, cols]
-    residual = float(np.linalg.norm(r))
-    ok = residual <= tol and np.linalg.norm(v.conj().T @ v - np.eye(len(cols))) <= tol
-    block = v[rows] if ok else np.zeros((0, 0))
-    deficit = float(np.max(1.0 - np.linalg.norm(v, axis=0)))
-    return block, ok, residual, deficit
+    return (parts[declared], largest_norm([k for k in parts if k[0]]),
+            largest_norm([k for k in parts if k != declared]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(gadget_cases())
 def test_induced_on_data_matches_full_unitary(g):
-    block, rep = induced_on_data(g)
-    want_block, want_ok, want_residual, want_deficit = full_unitary_report(g)
-    assert rep.is_catalytic == want_ok
-    assert block.shape == want_block.shape
-    assert np.abs(block - want_block).max(initial=0.0) <= 1e-12
-    assert abs(rep.residual_norm - want_residual) <= 1e-12
-    assert abs(rep.catalyst_overlap_deficit - want_deficit) <= 1e-12
+    got = induced_on_data(g)
+    block, deficit, leakage = full_unitary_report(g)
+    assert got.block.shape == block.shape
+    assert np.abs(got.block - block).max() <= 1e-12
+    assert abs(got.catalyst_deficit - deficit) <= 1e-12
+    assert abs(got.leakage - leakage) <= 1e-12
     if not g.aux:
         old = extract_catalytic(circuit_unitary(g.circuit), g.catalyst_qubit, KET_PLUS_I)
-        assert old.is_catalytic == rep.is_catalytic
-        assert abs(old.residual_norm - rep.residual_norm) <= 1e-12
+        unitary = np.linalg.norm(block.conj().T @ block - np.eye(len(block))) <= 1e-12
+        assert old.is_catalytic == (deficit <= 1e-12 and unitary)
+        assert abs(old.catalyst_deficit - got.catalyst_deficit) <= 1e-12
         if old.is_catalytic:
-            assert np.abs(old.induced - block).max() <= 1e-12
+            assert np.abs(old.induced - got.block).max() <= 1e-12
+
+
+def test_an_aux_wire_that_misses_its_out_bit_reads_as_leakage():
+    # The S gadget beside a wire declared 0 -> 1 that nothing flips: the
+    # catalyst comes back, but every column leaves the block.
+    s = s_gadget()
+    g = Gadget(Circuit(3, s.circuit.gates), s.catalyst_qubit, s.data_qubits,
+               s.claimed_induced, (AuxWire(2, 0, 1),))
+    got = induced_on_data(g)
+    assert got.catalyst_deficit <= CATALYTIC_TOL
+    assert got.leakage >= 0.99
+    assert got.error(g.claimed_induced) > CATALYTIC_TOL
 
 
 # --- one-prep verification ---
@@ -349,26 +365,27 @@ def test_verify_prep_target_range():
 def test_s_via_prep_x_shortcut():
     g = s_via_prep(circuit_of(1, x(0)), 0)
     assert gate_counts(g.circuit)[Gate.CCZ] == 2  # prep adds 0, gadget adds 2
-    block, rep = induced_on_data(g)
-    assert rep.is_catalytic
-    assert np.abs(block - S_MAT).max() <= 1e-12
+    assert_induces(g, S_MAT, 1e-12)
 
 
 def test_s_via_prep_counts_prep_ccz():
     prep = circuit_of(3, x(0), ccz(0, 1, 2), ccz(0, 1, 2))
     g = s_via_prep(prep, 0)
     assert gate_counts(g.circuit)[Gate.CCZ] == 2 + 2
-    block, rep = induced_on_data(g)
-    assert rep.is_catalytic
-    assert np.abs(block - S_MAT).max() <= 1e-12
+    assert_induces(g, S_MAT, 1e-12)
 
 
 def test_s_via_prep_extra_bystanders_ride_along():
     prep = circuit_of(4, x(0))
     g = s_via_prep(prep, 0)
-    block, rep = induced_on_data(g)
-    assert rep.is_catalytic
-    assert np.abs(block - np.kron(S_MAT, np.eye(2))).max() <= 1e-12
+    assert_induces(g, np.kron(S_MAT, np.eye(2)), 1e-12)
+
+
+def test_s_via_prep_claims_the_prep_phase():
+    # X then Z hands over -|1>, so the gadget induces -S, and claims it.
+    g = s_via_prep(circuit_of(1, x(0), z(0)), 0)
+    assert np.abs(g.claimed_induced + S_MAT).max() <= 1e-15
+    assert_induces(g, -S_MAT, 1e-12)
 
 
 def test_s_via_prep_rejects_bad_prep():

@@ -871,7 +871,7 @@ def test_extract_identity_is_catalytic():
     rep = extract_catalytic(np.eye(4, dtype=complex), 0, KET_PLUS_I)
     assert rep.is_catalytic
     assert np.abs(rep.induced - np.eye(2)).max() <= 1e-14
-    assert rep.catalyst_overlap_deficit <= 1e-14
+    assert rep.catalyst_deficit <= 1e-14
 
 
 def test_extract_s_gadget_induces_s():
@@ -888,7 +888,7 @@ def test_extract_swap_is_not_catalytic():
     rep = extract_catalytic(swap, 0, KET_PLUS_I)
     assert not rep.is_catalytic
     assert rep.induced is None
-    assert rep.residual_norm > 0.5
+    assert rep.catalyst_deficit > 0.5
 
 
 def test_extract_soundness_on_basis_inputs():
@@ -907,10 +907,19 @@ def test_extract_soundness_on_basis_inputs():
 def test_extract_needs_the_induced_operator_unitary():
     # The catalyst is kept (no residual) but the data block shrinks a column.
     rep = extract_catalytic(np.kron(np.eye(2), np.diag([1.0, 0.5])), 0, KET_PLUS_I)
-    assert rep.residual_norm <= 1e-15
+    assert rep.catalyst_deficit <= 1e-15
     assert not rep.is_catalytic
     assert rep.induced is None
-    assert rep.catalyst_overlap_deficit == pytest.approx(0.5)
+
+
+def test_extract_reads_the_deficit_as_an_amplitude():
+    # |<-i| RX(theta) |+i>| = sin(theta / 2): the deficit is that amplitude,
+    # so a 1e-6 leak reads 1e-6, not the 5e-13 it takes off the kept norm.
+    for leak in (0.5, 1e-6):
+        u = np.kron(gate_matrix(GateKind(Gate.RX, 2.0 * math.asin(leak))), np.eye(2))
+        rep = extract_catalytic(u, 0, KET_PLUS_I)
+        assert not rep.is_catalytic
+        assert rep.catalyst_deficit == pytest.approx(leak, rel=1e-9)
 
 
 def test_extract_catalyst_on_middle_wire():
