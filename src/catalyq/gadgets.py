@@ -14,36 +14,16 @@ import numpy as np
 
 from .ir import HCCZ, Circuit, check_membership, ccz, cry, cz, h
 from .ir import Gate, GateKind
-from .sim import (
-    KET_0,
-    KET_1,
-    KET_MINUS_I,
-    KET_PLUS_I,
-    Induced,
-    evolve_columns,
-    gate_matrix,
-    induce,
-    project,
-)
+from .sim import KET_0, KET_MINUS_I, KET_PLUS_I, AuxWire, Induced, evolve_columns, gate_matrix, induce
 
 _S = gate_matrix(GateKind(Gate.S))
 _CS = gate_matrix(GateKind(Gate.CS))
-_BITS = (KET_0, KET_1)
 # Largest ``PrepCheck.max_error`` that ``verify_one_prep`` passes.
 PREP_TOL = 1e-10
 # Below this magnitude ``verify_one_prep`` has no phase to align on and takes 1.
 _PHASE_GUARD = 1e-12
 # Largest shortfall of |<-i| H |+i>| from 1 that ``catalyst_flip_check`` passes.
 FLIP_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class AuxWire:
-    """A work wire with declared computational-basis input and output bits."""
-
-    qubit: int
-    in_bit: int
-    out_bit: int
 
 
 @dataclass(frozen=True)
@@ -115,12 +95,8 @@ def induced_on_data(g: Gadget) -> Induced:
     """``sim.induce`` of a gadget: the catalyst fed |+i> and read <+i|, each
     aux wire fed its in-bit and read at its out-bit, so the block acts on
     ``g.data_qubits`` (ascending by construction) and an aux wire that misses
-    its out-bit reads as leakage."""
-    ins = {g.catalyst_qubit: KET_PLUS_I}
-    outs = dict(ins)
-    for a in g.aux:
-        ins[a.qubit], outs[a.qubit] = _BITS[a.in_bit], _BITS[a.out_bit]
-    return induce(g.circuit, ins, outs, g.catalyst_qubit)
+    its out-bit reads as leakage. Raises ValueError if a wire is fixed twice."""
+    return induce(g.circuit, g.catalyst_qubit, g.aux)
 
 
 @dataclass(frozen=True)
@@ -146,7 +122,7 @@ def verify_one_prep(c: Circuit, target_qubit: int) -> PrepCheck:
         raise ValueError(f"target qubit {target_qubit} out of range")
     cols = evolve_columns(c, {target_qubit: KET_0})
     dim = cols.shape[-1]
-    zero, one = (project(cols, {target_qubit: k}).reshape(dim, dim) for k in _BITS)
+    zero, one = np.moveaxis(cols, target_qubit, 0).reshape(2, dim, dim)
     lam = one[0, 0] / abs(one[0, 0]) if abs(one[0, 0]) > _PHASE_GUARD else 1.0
     miss = np.stack([zero, one - lam * np.eye(dim)])  # (target bit, bystanders, input)
     max_error = float(np.linalg.norm(miss, axis=(0, 1)).max())

@@ -74,13 +74,7 @@ from .ir import (
     x,
 )
 from . import sim
-from .sim import (
-    KET_0,
-    KET_1,
-    KET_PLUS_I,
-    gate_matrix,
-    phase_aligned_distance,
-)
+from .sim import AuxWire, gate_matrix, phase_aligned_distance
 
 
 class LoweringError(ValueError):
@@ -121,7 +115,7 @@ class LoweredCircuit:
 
     circuit: Circuit
     catalyst_qubit: int | None
-    ancilla_qubits: tuple[tuple[int, str], ...]
+    ancilla_qubits: tuple[AuxWire, ...]  # |0> in, <1| out: its X prep is in the circuit
     counts: dict[Gate, int]
     rule_instances: dict[Gate, int]  # times each ``RULES`` entry fired, 0 if never
 
@@ -269,7 +263,7 @@ def lower(c: Circuit, target: GateSetProfile, catalyst: int | None = None) -> Lo
     return LoweredCircuit(
         circuit=circuit,
         catalyst_qubit=cat,
-        ancilla_qubits=((anc, "0"),) if need_anc else (),
+        ancilla_qubits=(AuxWire(anc, 0, 1),) if need_anc else (),
         counts=counts,
         rule_instances=rule_instances,
     )
@@ -306,7 +300,7 @@ def merge_phases(c: Circuit, catalyst: int | None = None) -> Circuit:
     pass changes nothing. ``lower`` does not call it, so each source gate
     keeps its one span.
 
-    ``catalyst`` names a |+i> wire, read as ``induce_source`` reads it: then
+    ``catalyst`` names a |+i> wire, read as ``sim.induce`` reads it: then
     the result equals ``c`` on the other wires with that one fed |+i> and
     read out through <+i|. While only CZ(w, catalyst) and RY have acted on
     it (a phase on it is left in place, and ends this), and nothing but
@@ -423,12 +417,7 @@ def induce(lowered: LoweredCircuit) -> sim.Induced:
     Raises ValueError, before allocating, past ``sim.MAX_DENSE_QUBITS``
     lowered wires.
     """
-    cat = lowered.catalyst_qubit
-    ins = {} if cat is None else {cat: KET_PLUS_I}
-    outs = dict(ins)
-    for anc, _state in lowered.ancilla_qubits:
-        ins[anc], outs[anc] = KET_0, KET_1
-    return sim.induce(lowered.circuit, ins, outs, cat)
+    return sim.induce(lowered.circuit, lowered.catalyst_qubit, lowered.ancilla_qubits)
 
 
 def induced_block(lowered: LoweredCircuit) -> np.ndarray:
@@ -456,14 +445,6 @@ def check_lemmas() -> float:
         for gate in RULES
         for theta in (_LEMMA_THETAS if gate.takes_angle else [None])
     )
-
-
-def induce_source(source: Circuit, catalyst: int | None) -> sim.Induced:
-    """``sim.induce`` of a source circuit: its whole unitary, or, when it names
-    a ``catalyst`` wire, its operator on the other wires with that one fed
-    |+i> and read out through <+i|."""
-    kets = {} if catalyst is None else {catalyst: KET_PLUS_I}
-    return sim.induce(source, kets, kets, catalyst)
 
 
 @dataclass(frozen=True)
@@ -498,11 +479,11 @@ def verify_lowering(source: Circuit, lowered: LoweredCircuit) -> LoweringCheck:
     """Dense check that the lowering induces the source's operator on data wires.
 
     That operator is the source's unitary, or, if the lowering kicks a
-    catalyst wire of the source's own, ``induce_source`` with it fixed. The
+    catalyst wire of the source's own, ``sim.induce`` with it fixed. The
     lowered circuit is induced first, so one too wide to check is refused
     before the source's unitary is built.
     """
     got = induce(lowered)
     cat = lowered.catalyst_qubit
-    want = induce_source(source, cat if cat is not None and cat < source.num_qubits else None)
+    want = sim.induce(source, cat if cat is not None and cat < source.num_qubits else None)
     return check_induced(got, want.block, want.catalyst_deficit)

@@ -58,13 +58,14 @@ than 4^5 = 1024 amplitudes:
   to a new array that replaces the state;
 - CRY does the same one-qubit update on its control=1 slice, in place.
 
-``induce`` reads the operator induced on the free wires off one column pass
-(``project`` fixes output kets), with the catalyst deficit and the leakage
+``induce`` reads the operator induced on the free wires off one column pass,
+with a |+i> catalyst fed and read out through <+i| and each ``AuxWire`` fed
+one basis bit and read at another, and the catalyst deficit and the leakage
 as norms of the amplitude that leaves the catalyst and the block; it rotates
 one copy of the columns in place, so it never holds more than the columns
-and that copy. It is the one catalytic readout: lowerings, the rule table
-and gadgets call it, and ``extract_catalytic`` reads an explicit unitary's
-columns the same way.
+and that copy. It is the one catalytic readout: lowerings, sources, the rule
+table and gadgets call it, and ``extract_catalytic`` reads an explicit
+unitary's columns the same way.
 """
 
 from __future__ import annotations
@@ -448,21 +449,24 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return evolve_columns(c, {}).reshape(dim, dim)
 
 
-def project(cols: np.ndarray, outs: Kets) -> np.ndarray:
-    """Contract <outs[w]| into wire w's axis of an ``evolve_columns`` tensor."""
-    for w in sorted(outs, reverse=True):
-        cols = np.tensordot(outs[w].conj(), cols, axes=([0], [w]))
-    return cols
+@dataclass(frozen=True)
+class AuxWire:
+    """A work wire with declared computational-basis input and output bits."""
+
+    qubit: int
+    in_bit: int
+    out_bit: int
 
 
 @dataclass(frozen=True)
 class Induced:
     """What a circuit does to its free wires, read from one column pass.
 
-    ``block`` is <outs| U |ins> on the free wires. Over their basis inputs,
-    ``catalyst_deficit`` is the largest norm of <cat_perp| U input, the
-    amplitude that leaves the catalyst (0.0 without one), and ``leakage``
-    that of the amplitude outside the block: both are linear in a leak.
+    ``block`` is U between the fixed wires' in kets and out bras. Over the
+    free wires' basis inputs, ``catalyst_deficit`` is the largest norm of
+    <cat_perp| U input, the amplitude that leaves the catalyst (0.0 without
+    one), and ``leakage`` that of the amplitude outside the block: both are
+    linear in a leak.
     """
 
     block: np.ndarray
@@ -471,7 +475,10 @@ class Induced:
 
     def error(self, want: np.ndarray) -> float:
         """The block's largest entrywise gap to ``want`` (global phase not
-        quotiented), or the deficit or the leakage if larger."""
+        quotiented), or the deficit or the leakage if larger. Raises
+        ValueError unless ``want`` has the block's shape."""
+        if want.shape != self.block.shape:
+            raise ValueError(f"claim of shape {want.shape} for a {self.block.shape} block")
         return max(float(np.abs(self.block - want).max()), self.catalyst_deficit, self.leakage)
 
 
@@ -507,15 +514,21 @@ def _largest_norm(sq: np.ndarray) -> float:
     return math.sqrt(float(sq.sum(axis=tuple(range(sq.ndim - 1))).max()))
 
 
-def induce(c: Circuit, ins: Kets, outs: Kets, catalyst: int | None = None) -> Induced:
-    """The operator ``c`` induces on the wires that ``ins`` and ``outs`` leave
-    free, from one ``evolve_columns`` pass (see ``Induced``).
+def induce(c: Circuit, catalyst: int | None = None, aux: Sequence[AuxWire] = ()) -> Induced:
+    """The operator ``c`` induces on its other wires, from one
+    ``evolve_columns`` pass (see ``Induced``), with the ``catalyst`` wire, if
+    any, fed |+i> and read out through <+i|, and each ``aux`` wire fed
+    |in_bit> and read through <out_bit|.
 
-    ``outs`` must fix the wires ``ins`` does; ``catalyst``, if given, is one
-    of them. Raises ValueError, before allocating, past ``MAX_DENSE_QUBITS``.
+    Raises ValueError if a wire is fixed twice and, before allocating, past
+    ``MAX_DENSE_QUBITS``.
     """
-    if set(ins) != set(outs):
-        raise ValueError("ins and outs must fix the same wires")
+    ins = {} if catalyst is None else {catalyst: KET_PLUS_I}
+    outs = dict(ins)
+    for a in aux:
+        if a.qubit in ins:
+            raise ValueError(f"wire {a.qubit} is fixed twice")
+        ins[a.qubit], outs[a.qubit] = _BITS[a.in_bit], _BITS[a.out_bit]
     at = None if catalyst is None else sorted(outs).index(catalyst)
     return _read(_rotated(evolve_columns(c, ins), outs), len(outs), at)
 
@@ -559,6 +572,7 @@ KET_PLUS = np.array([_SQ2, _SQ2], dtype=complex)
 KET_MINUS = np.array([_SQ2, -_SQ2], dtype=complex)
 KET_PLUS_I = np.array([_SQ2, _SQ2 * 1j], dtype=complex)
 KET_MINUS_I = np.array([_SQ2, -_SQ2 * 1j], dtype=complex)
+_BITS = (KET_0, KET_1)
 
 STATE_TOKENS: dict[str, np.ndarray] = {
     "0": KET_0,

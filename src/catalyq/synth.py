@@ -59,9 +59,10 @@ import numpy as np
 
 from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz
 from .lowering import (
-    VERIFY_METHOD, LoweredCircuit, LoweringCheck, check_induced, induce, induce_source, lower,
-    merge_phases, rule_cost,
+    VERIFY_METHOD, LoweredCircuit, LoweringCheck, check_induced, induce, lower, merge_phases,
+    rule_cost,
 )
+from . import sim
 from .sim import gate_matrix
 
 
@@ -399,7 +400,7 @@ def decompose_su2m(u: np.ndarray) -> Circuit:
     """
     u = _check_unitary(u)
     circuit = _decompose(u)
-    check = check_induced(induce_source(circuit, _catalyst(circuit, u.shape[0])), u)
+    check = check_induced(sim.induce(circuit, _catalyst(circuit, u.shape[0])), u)
     if not check.ok:
         raise SynthesisError(f"decomposition self-check failed: {check}")
     return circuit

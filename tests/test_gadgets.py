@@ -260,6 +260,25 @@ def test_an_aux_wire_that_misses_its_out_bit_reads_as_leakage():
     assert got.error(g.claimed_induced) > CATALYTIC_TOL
 
 
+def test_a_wire_fixed_twice_is_refused():
+    # An aux wire on the catalyst's own wire would overwrite its |+i>.
+    s = s_gadget()
+    g = Gadget(s.circuit, s.catalyst_qubit, s.data_qubits, s.claimed_induced, (AuxWire(0, 0, 0),))
+    with pytest.raises(ValueError, match="wire 0 is fixed twice"):
+        induced_on_data(g)
+
+
+def test_a_claim_of_the_wrong_shape_is_refused():
+    # An aux wire on the data wire leaves a 1x1 block, which must not be
+    # broadcast against the 2x2 claim.
+    s = s_gadget()
+    g = Gadget(s.circuit, s.catalyst_qubit, s.data_qubits, s.claimed_induced, (AuxWire(1, 0, 0),))
+    got = induced_on_data(g)
+    assert got.block.shape == (1, 1)
+    with pytest.raises(ValueError, match="shape"):
+        got.error(g.claimed_induced)
+
+
 # --- one-prep verification ---
 
 def loop_prep_check(c, target_qubit, tol=1e-10):
@@ -353,6 +372,25 @@ def test_verify_prep_with_redundant_ccz_pair():
     check = verify_one_prep(c, 0)
     assert check.passes
     assert gate_counts(c)[Gate.CCZ] == 2
+
+
+# A 9-CCZ circuit over {H, CCZ} on 3 wires that maps |000> to |100> exactly.
+NINE_CCZ = "H2 H1 H0 CCZ H2 CCZ H2 CCZ H0 CCZ H2 CCZ H2 CCZ H1 CCZ H2 CCZ H2 CCZ H2 H1 H0"
+
+
+def test_verify_prep_of_the_nine_ccz_state_prep():
+    # It prepares |100> from |000> alone: the other bystander inputs do not
+    # ride along, so it is no prep in verify_one_prep's sense.
+    c = circuit_of(3, *(ccz(0, 1, 2) if t == "CCZ" else h(int(t[1])) for t in NINE_CCZ.split()))
+    assert gate_counts(c)[Gate.CCZ] == 9
+    check = verify_one_prep(c, 0)
+    assert not check.passes
+    assert check.gate_set_ok
+    assert abs(check.max_error - math.sqrt(3.0)) <= 1e-12
+    assert check.phase == 0.0
+    first = np.abs(circuit_unitary(c)[:, 0])
+    assert abs(first[4] - 1.0) <= 1e-12
+    assert np.delete(first, 4).max() <= 1e-12
 
 
 def test_verify_prep_target_range():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalyq import lowering
+from catalyq import lowering, sim
 from catalyq.ir import (
     FULL,
     HCCZ,
@@ -44,14 +44,13 @@ from catalyq.lowering import (
     check_lemmas,
     count_report,
     induce,
-    induce_source,
     induced_block,
     lower,
     merge_phases,
     rule_cost,
     verify_lowering,
 )
-from catalyq.sim import KET_0, KET_1, KET_PLUS_I, circuit_unitary, phase_aligned_distance
+from catalyq.sim import KET_0, KET_1, KET_PLUS_I, AuxWire, circuit_unitary, phase_aligned_distance
 from conftest import random_circuit
 from oracles import project_wires
 
@@ -188,7 +187,7 @@ def test_resources_capped_at_one_catalyst_one_ancilla():
     low = lower(c, REAL_O2_CCZ)
     assert low.circuit.num_qubits == 4  # 2 data + catalyst + ancilla
     assert low.catalyst_qubit == 2
-    assert low.ancilla_qubits == ((3, "0"),)
+    assert low.ancilla_qubits == (AuxWire(3, 0, 1),)
     # Ancilla is prepared exactly once.
     assert low.counts[Gate.X] == 1
 
@@ -206,7 +205,7 @@ def test_named_catalyst_is_kicked_in_place():
     src = circuit_of(3, rz(0.9, 0), cz(1, 2), ry(0.7, 2), cz(1, 2), h(1))
     low = lower(src, REAL_O2_CCZ, catalyst=2)
     assert low.circuit.num_qubits == 4
-    assert low.catalyst_qubit == 2 and low.ancilla_qubits == ((3, "0"),)
+    assert low.catalyst_qubit == 2 and low.ancilla_qubits == (AuxWire(3, 0, 1),)
     chk = verify_lowering(src, low)
     assert chk.ok, chk
     assert chk.source_catalyst_deficit <= 1e-12
@@ -218,7 +217,7 @@ def test_named_catalyst_is_kicked_in_place():
 def test_named_catalyst_without_a_kick_stays_named():
     src = circuit_of(2, cz(0, 1), ry(0.3, 1), cz(0, 1))
     low = lower(src, REAL_O2_CCZ, catalyst=1)
-    assert low.catalyst_qubit == 1 and low.ancilla_qubits == ((2, "0"),)
+    assert low.catalyst_qubit == 1 and low.ancilla_qubits == (AuxWire(2, 0, 1),)
     assert verify_lowering(src, low).ok
 
 
@@ -394,7 +393,8 @@ def test_each_source_gate_lowers_to_one_span_after_the_prep(src):
             continue
         if not low.ancilla_qubits:
             continue
-        ((anc, _),) = low.ancilla_qubits
+        (ancilla,) = low.ancilla_qubits
+        anc = ancilla.qubit
         gates = low.circuit.gates
         assert gates[0] == x(anc)
         assert x(anc) not in gates[1:]
@@ -403,7 +403,7 @@ def test_each_source_gate_lowers_to_one_span_after_the_prep(src):
             alone = lower(Circuit(src.num_qubits, (app,)), profile)
             rename = {q: q for q in range(src.num_qubits)}
             rename[alone.catalyst_qubit] = low.catalyst_qubit
-            rename.update((a, anc) for a, _ in alone.ancilla_qubits)
+            rename.update((a.qubit, anc) for a in alone.ancilla_qubits)
             own = alone.circuit.gates[len(alone.ancilla_qubits) :]
             span = gates[at : at + len(own)]
             assert len(span) == len(own)
@@ -437,7 +437,8 @@ def test_lower_shares_angle_free_gates_and_builds_angled_ones_fresh(src):
 def test_lower_shares_a_gate_across_source_gates():
     # RZ 0 and RX 0 each emit CCZ (ancilla, 0, catalyst) twice: one object.
     low = lower(circuit_of(1, rz(0.3, 0), rx(0.2, 0)), REAL_O2_CCZ)
-    ((anc, _),) = low.ancilla_qubits
+    (ancilla,) = low.ancilla_qubits
+    anc = ancilla.qubit
     ccz_apps = [app for app in low.circuit.gates if app == ccz(anc, 0, low.catalyst_qubit)]
     assert len(ccz_apps) == 4 and len(set(map(id, ccz_apps))) == 1
 
@@ -564,8 +565,8 @@ def reference_block(lowered):
     ins, outs = {}, {}
     if lowered.catalyst_qubit is not None:
         ins[lowered.catalyst_qubit] = outs[lowered.catalyst_qubit] = KET_PLUS_I
-    for anc, _state in lowered.ancilla_qubits:
-        ins[anc], outs[anc] = KET_0, KET_1
+    for a in lowered.ancilla_qubits:
+        ins[a.qubit], outs[a.qubit] = (KET_0, KET_1)[a.in_bit], (KET_0, KET_1)[a.out_bit]
     return project_wires(circuit_unitary(lowered.circuit), n_low, ins, outs)
 
 
@@ -578,8 +579,8 @@ def kron_loop_deficit(lowered):
     u_low = circuit_unitary(lowered.circuit)
     n_data = n_low - 1 - len(lowered.ancilla_qubits)
     fixed = {lowered.catalyst_qubit: KET_PLUS_I}
-    for anc, _state in lowered.ancilla_qubits:
-        fixed[anc] = KET_0
+    for a in lowered.ancilla_qubits:
+        fixed[a.qubit] = (KET_0, KET_1)[a.in_bit]
     deficit = 0.0
     for k in range(1 << n_data):
         vec = np.array([1.0], dtype=complex)
@@ -742,7 +743,7 @@ def merge_faults(src, catalyst=None):
     else:
         # A catalyst that need not come back induces a block that need not be
         # unitary: align the phase on the overlap, then take the largest gap.
-        got, want = (induce_source(c, catalyst).block for c in (merged, src))
+        got, want = (sim.induce(c, catalyst).block for c in (merged, src))
         overlap = np.vdot(want, got)
         phase = overlap / abs(overlap) if abs(overlap) else 1.0
         distance = float(np.abs(got - phase * want).max())

@@ -15,7 +15,7 @@ from catalyq.ir import (
 from catalyq.sim import gate_matrix, phase_aligned_distance
 from catalyq import lowering, sim, synth
 from catalyq.lowering import VERIFY_TOL
-from catalyq.sim import Induced
+from catalyq.sim import AuxWire, Induced
 from catalyq.synth import (
     SynthesisError,
     decompose_su2m,
@@ -214,7 +214,7 @@ def test_catalyst_walk_takes_any_diagonal_on_two_wires(nonzero):
     rng = np.random.default_rng(len(nonzero) + sum(nonzero))
     coeffs = tuple(float(rng.uniform(-2.0, 2.0)) if p in nonzero else 0.0 for p in range(3))
     gates = synth._walk(coeffs, 0, 1, 2)
-    got = sim.induce(Circuit(3, tuple(gates)), {2: sim.KET_PLUS_I}, {2: sim.KET_PLUS_I}, 2)
+    got = sim.induce(Circuit(3, tuple(gates)), 2)
     signs = np.array([[(-1) ** s, (-1) ** (s ^ r), (-1) ** r] for s in (0, 1) for r in (0, 1)])
     want = np.diag(np.exp(1j * signs @ np.array(coeffs)))
     assert phase_aligned_distance(got.block, want) <= 1e-14
@@ -229,8 +229,7 @@ def decomposed_operator(c, m):
     """The operator ``decompose_su2m``'s circuit induces on wires 0..m-1, with
     wire m, when present, fed the |+i> catalyst and read out through <+i|."""
     assert c.num_qubits in (m, m + 1)
-    kets = {m: sim.KET_PLUS_I} if c.num_qubits > m else {}
-    got = sim.induce(c, kets, kets, m if kets else None)
+    got = sim.induce(c, m if c.num_qubits > m else None)
     assert got.catalyst_deficit <= 1e-12
     return got.block
 
@@ -419,7 +418,7 @@ def test_lowering_a_source_that_names_its_catalyst():
     source = decompose_su2m(u)
     low = lowering.lower(source, REAL_O2_CCZ, catalyst=3)
     # The source's catalyst is kicked in place: one catalyst, then the ancilla.
-    assert low.catalyst_qubit == 3 and low.ancilla_qubits == ((4, "0"),)
+    assert low.catalyst_qubit == 3 and low.ancilla_qubits == (AuxWire(4, 0, 1),)
     chk = lowering.verify_lowering(source, low)
     assert chk.ok, chk
     assert chk.source_catalyst_deficit <= 1e-12
@@ -473,7 +472,7 @@ def test_a_small_leak_out_of_a_fixed_wire_is_not_ok(gate, wire):
     # the 5e-11 it takes off the kept column's norm, so the check fails.
     u = haar_su(8, 42)
     low = synthesize(u).lowered
-    q = low.catalyst_qubit if wire == "catalyst" else low.ancilla_qubits[0][0]
+    q = low.catalyst_qubit if wire == "catalyst" else low.ancilla_qubits[0].qubit
     leak = GateApp(GateKind(gate, 2e-5), (q,))
     leaky = dataclasses.replace(low, circuit=Circuit(low.circuit.num_qubits, low.circuit.gates + (leak,)))
     chk = lowering.check_induced(lowering.induce(leaky), u)
@@ -527,10 +526,11 @@ def test_one_bound_for_every_dense_check(monkeypatch, field, scale, ok):
     target = np.diag([1.0, 1j])  # S
     induced = induced_off_by(target, field, scale * VERIFY_TOL)
     monkeypatch.setattr(lowering, "induce", lambda lowered: induced)
-    monkeypatch.setattr(synth, "induce", lambda lowered: induced)
-    monkeypatch.setattr(synth, "induce_source", lambda circuit, catalyst: induced)
     source = circuit_of(1, s(0))
     assert lowering.verify_lowering(source, lowering.lower(source, REAL_O2_CCZ)).ok is ok
+    # verify_lowering reads its source through sim.induce, so that is patched after it.
+    monkeypatch.setattr(synth, "induce", lambda lowered: induced)
+    monkeypatch.setattr(sim, "induce", lambda circuit, catalyst=None: induced)
     if ok:
         assert synthesize(target).ok
         decompose_su2m(target)
@@ -545,7 +545,7 @@ def test_decompose_self_check_needs_its_catalyst_back(monkeypatch):
     # An exact block is not enough: the catalyst must come back as well.
     u = haar_su(4, 6)
     returned_short = Induced(block=u, catalyst_deficit=1e-6, leakage=0.0)
-    monkeypatch.setattr(synth, "induce_source", lambda circuit, catalyst: returned_short)
+    monkeypatch.setattr(sim, "induce", lambda circuit, catalyst=None: returned_short)
     with pytest.raises(SynthesisError, match="self-check failed"):
         decompose_su2m(u)
 
