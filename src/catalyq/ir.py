@@ -7,8 +7,13 @@ positions: ``parse_circuit`` shares one object per distinct angle-free gate
 line and ``lower`` one per angle-free (tag, wires) it emits, while each
 angled gate is its own object. Whole-circuit passes loop in C: ``Circuit``
 checks its width over each gate's recorded ``top`` operand and
-``check_membership`` looks only at tags unless one is barred;
-``serialize_circuit`` formats each object once.
+``check_membership`` looks only at tags, against the profile's ``admitted``
+set, unless one is barred; ``serialize_circuit`` formats each object once.
+
+Validation happens once, at the boundary: ``parse_circuit`` and the public
+constructors check every part of a gate, while ``trusted_app``, which the
+passes that emit gates from already-checked parts use, checks only that a
+computed angle is finite.
 
 Text format (one gate per line, ``#`` starts a comment, blank lines ignored)::
 
@@ -111,6 +116,39 @@ class GateApp:
 # A gate application's tag; whole-circuit passes ``map`` it, looping in C.
 tag_of = attrgetter("kind.gate")
 
+# ``trusted_app`` writes a frozen instance's fields into its ``__dict__``,
+# as the dataclass ``__init__`` does, minus the checks.
+_new = object.__new__
+
+# The one kind of each angle-free tag, shared by the gates built from it.
+PLAIN_KIND: dict[Gate, GateKind] = {g: GateKind(g) for g in Gate if not g.takes_angle}
+
+
+def trusted_app(gate: Gate, qubits: tuple[int, ...], angle: float | None = None) -> GateApp:
+    """``GateApp(GateKind(gate, angle), qubits)`` for parts a caller has
+    already checked: an angle exactly when ``gate`` takes one, and a tuple of
+    ``gate.arity`` distinct non-negative wires, each taken from a checked
+    gate or layout. Only the angle's finiteness is checked again, since a
+    computed angle can overflow. The result equals the validated one in
+    ``==``, ``hash`` and ``repr``, at about a third of its cost; passes that
+    emit gates by the thousand (``synth``, ``lowering``) build them here.
+    """
+    if angle is None:
+        kind = PLAIN_KIND[gate]
+    else:
+        if not math.isfinite(angle):
+            raise CircuitError(f"{gate.value} angle must be finite")
+        kind = _new(GateKind)
+        fields = kind.__dict__
+        fields["gate"] = gate
+        fields["angle"] = angle
+    app = _new(GateApp)
+    fields = app.__dict__
+    fields["kind"] = kind
+    fields["qubits"] = qubits
+    fields["top"] = max(qubits)
+    return app
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -134,7 +172,7 @@ class Circuit:
 # Convenience constructors, handy when building circuits in code.
 def _plain(gate: Gate) -> Callable[..., GateApp]:
     def make(*qubits: int) -> GateApp:
-        return GateApp(GateKind(gate), qubits)
+        return GateApp(PLAIN_KIND[gate], qubits)
 
     return make
 
@@ -163,13 +201,21 @@ cry = _rot(Gate.CRY)
 
 @dataclass(frozen=True)
 class GateSetProfile:
-    """A named gate set; ``admits`` decides membership per tag."""
+    """A named gate set; ``admits`` decides membership per tag.
+
+    ``admitted`` is the set of tags it admits, asked of ``admits`` once, at
+    construction; membership checks and ``lowering``'s plans read it.
+    """
 
     name: str
     admits: Callable[[Gate], bool] = field(compare=False)
+    admitted: frozenset[Gate] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "admitted", frozenset(g for g in Gate if self.admits(g)))
 
     def tags(self) -> tuple[Gate, ...]:
-        return tuple(g for g in Gate if self.admits(g))
+        return tuple(g for g in Gate if g in self.admitted)
 
 
 HCCZ = GateSetProfile("HCCZ", lambda g: g in (Gate.H, Gate.CCZ))
@@ -194,10 +240,10 @@ class Violation:
 
 def check_membership(c: Circuit, profile: GateSetProfile) -> list[Violation]:
     """Return all gates of ``c`` not admitted by ``profile`` (empty = member)."""
-    barred = frozenset(g for g in Gate if not profile.admits(g))
-    if barred.isdisjoint(map(tag_of, c.gates)):
+    admitted = profile.admitted
+    if admitted.issuperset(map(tag_of, c.gates)):
         return []
-    return [Violation(i, g) for i, g in enumerate(map(tag_of, c.gates)) if g in barred]
+    return [Violation(i, g) for i, g in enumerate(map(tag_of, c.gates)) if g not in admitted]
 
 
 def gate_counts(c: Circuit) -> dict[Gate, int]:

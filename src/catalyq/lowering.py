@@ -54,23 +54,26 @@ table entry's gate alone, one level deep, and checks ``induce`` of what
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .gadgets import Gadget, cs_gadget
 from .ir import (
     Circuit,
+    CircuitError,
     Gate,
     GateApp,
     GateKind,
     GateSetProfile,
     check_membership,
     tag_of,
+    trusted_app,
     x,
 )
 from . import sim
@@ -120,10 +123,10 @@ class LoweredCircuit:
     rule_instances: dict[Gate, int]  # times each ``RULES`` entry fired, 0 if never
 
 
-def _flatten(gate: Gate, admits: Callable[[Gate], bool], fired: Counter) -> list | None:
+def _flatten(gate: Gate, admitted: frozenset[Gate], fired: Counter) -> list | None:
     """``gate`` on operands 0, 1, ... rewritten to admitted gates, or None if
     it has no rewrite; ``fired`` counts the rules used."""
-    if admits(gate):
+    if gate in admitted:
         return [(gate, tuple(range(gate.arity)))]
     rule = RULES.get(gate)
     if rule is None:
@@ -131,7 +134,7 @@ def _flatten(gate: Gate, admits: Callable[[Gate], bool], fired: Counter) -> list
     fired[gate] += 1
     out = []
     for sub, ws in rule:
-        inner = _flatten(sub, admits, fired)
+        inner = _flatten(sub, admitted, fired)
         if inner is None:
             return None
         frame = (*ws, C, A)
@@ -141,29 +144,53 @@ def _flatten(gate: Gate, admits: Callable[[Gate], bool], fired: Counter) -> list
 
 @dataclass(frozen=True)
 class _Plan:
-    """How one gate kind lowers, decided once per ``lower`` call.
+    """How one gate kind lowers into one target, built once per ``RULES``.
 
-    ``gates`` holds (tag, shared GateKind or None for angled tags, wires over
-    (*operands, catalyst, ancilla)). No fired rule means the gate passes
-    through.
+    ``gates`` holds (tag, wires over (*operands, catalyst, ancilla)). No
+    fired rule means the gate passes through.
     """
 
-    gates: tuple[tuple[Gate, GateKind | None, tuple[int, ...]], ...]
-    fired: Counter
-    angled: tuple[int, ...]  # indices into ``gates`` of the angled tags
+    gates: tuple[tuple[Gate, tuple[int, ...]], ...]
+    fired: tuple[tuple[Gate, int], ...]  # (rule, times it fires)
+    kicks: bool  # some gate acts on the catalyst
+    ancilla: bool  # some gate acts on the ancilla
 
 
-def _plan(gate: Gate, target: GateSetProfile) -> _Plan | None:
+def _plan(gate: Gate, admitted: frozenset[Gate]) -> _Plan | None:
+    """``gate``'s plan for a target that admits the tags ``admitted``, or
+    None if it has none. Plans are kept per (gate, admitted) and dropped
+    whenever ``RULES`` no longer holds the rules they were built from."""
+    if _planned_from != RULES:
+        _built_plan.cache_clear()
+        _planned_from.clear()
+        _planned_from.update(RULES)
+    return _built_plan(gate, admitted)
+
+
+# The ``RULES`` that ``_built_plan``'s cached plans were built from.
+_planned_from: dict[Gate, Rule] = {}
+
+
+@functools.lru_cache(maxsize=256)
+def _built_plan(gate: Gate, admitted: frozenset[Gate]) -> _Plan | None:
     fired: Counter = Counter()
-    flat = _flatten(gate, target.admits, fired)
+    flat = _flatten(gate, admitted, fired)
+    if flat is None:
+        return None
+    ancilla = any(A in ws for _, ws in flat)
     # A plan that names the ancilla needs its X prep admitted.
-    if flat is None or (any(A in ws for _, ws in flat) and not target.admits(Gate.X)):
+    if ancilla and Gate.X not in admitted:
         return None
     return _Plan(
-        gates=tuple((g, None if g.takes_angle else GateKind(g), ws) for g, ws in flat),
-        fired=fired,
-        angled=tuple(j for j, (g, _) in enumerate(flat) if g.takes_angle),
+        gates=tuple(flat),
+        fired=tuple(fired.items()),
+        kicks=any(C in ws for _, ws in flat),
+        ancilla=ancilla,
     )
+
+
+# Every tag, in declaration order: iterating ``Gate`` itself runs a Python generator.
+_TAGS = tuple(Gate)
 
 
 class RuleCost(NamedTuple):
@@ -171,17 +198,14 @@ class RuleCost(NamedTuple):
     gates: int
 
 
-# Admits exactly the gates without a rule, so a plan for it expands every rule.
-_EXPANDED = GateSetProfile("every rule expanded", lambda g: g not in RULES)
-
-
 def rule_cost(gate: Gate) -> RuleCost:
     """CCZ and gates one ``gate`` lowers to once every rule has expanded: its
     flattened plan, without the ancilla's one-time X prep. A gate without a
     rule costs itself. For {H, CCZ} and {H, X, Z, RY, CCZ}, which admit no
     gate that has a rule, this is what ``lower`` emits per source gate."""
-    plan = _plan(gate, _EXPANDED)
-    return RuleCost(sum(g is Gate.CCZ for g, _, _ in plan.gates), len(plan.gates))
+    # Admitting exactly the gates without a rule expands every rule.
+    plan = _plan(gate, frozenset(_TAGS).difference(RULES))
+    return RuleCost(sum(g is Gate.CCZ for g, _ in plan.gates), len(plan.gates))
 
 
 def lower(c: Circuit, target: GateSetProfile, catalyst: int | None = None) -> LoweredCircuit:
@@ -189,76 +213,78 @@ def lower(c: Circuit, target: GateSetProfile, catalyst: int | None = None) -> Lo
 
     ``catalyst`` names a wire of ``c`` that is already a |+i> catalyst: the
     rules kick it instead of an appended one, and only the ancilla is
-    appended. Each angle-free emitted gate is built once per (tag, wires) for
-    the whole call and shared by every span that emits it, whatever the source
-    gate; angled ones are built fresh, one per source gate.
+    appended. Each gate kind's expansion is planned once per target's
+    admitted tags, and kept across calls while ``RULES`` is unchanged. Each
+    angle-free emitted gate is built once per (tag, wires) for the whole call
+    and shared by every span that emits it, whatever the source gate; angled
+    ones are built fresh, one per source gate, through ``ir.trusted_app``.
     """
     if catalyst is not None and not 0 <= catalyst < c.num_qubits:
         raise LoweringError(f"catalyst wire {catalyst} is outside the source's {c.num_qubits}")
     kinds = Counter(map(tag_of, c.gates))
-    plans = {gate: _plan(gate, target) for gate in kinds}
+    plans = {gate: _plan(gate, target.admitted) for gate in kinds}
     for gate, plan in plans.items():
         if plan is None:
             i = next(i for i, app in enumerate(c.gates) if app.kind.gate is gate)
             raise LoweringError(f"gate {i} ({gate.value}) is not lowerable to {target.name}")
-    wires = {w for p in plans.values() for _, _, ws in p.gates for w in ws}
-    need_anc = A in wires
+    need_anc = any(p.ancilla for p in plans.values())
     if catalyst is None:
-        need_cat = C in wires
+        need_cat = any(p.kicks for p in plans.values())
         cat = c.num_qubits if need_cat else None
     else:
         need_cat, cat = False, catalyst
-        # A rule assumes its catalyst is a wire apart, so none may rewrite a gate on it.
-        kicks = {g for g, p in plans.items() if any(C in ws for _, _, ws in p.gates)}
-        for i, app in enumerate(c.gates):
-            if catalyst in app.qubits and app.kind.gate in kicks:
-                raise LoweringError(
-                    f"gate {i} ({app.kind.gate.value}) acts on catalyst wire {catalyst}"
-                    " and its rule kicks the catalyst"
-                )
     anc = c.num_qubits + need_cat if need_anc else None
 
     # The ancilla's one X prep comes first; after it each source gate is one span.
     gates: list[GateApp] = [x(anc)] if need_anc else []
-    # One object per angle-free (tag, wires), and one span per (tag, operands).
+    # One object per angle-free (tag, wires), and one span per (tag, operands):
+    # its shared gates, None in the place of each angled one, and the
+    # (index, tag, wires) of those.
     made: dict[tuple[Gate, tuple[int, ...]], GateApp] = {}
-    built: dict[tuple[Gate, tuple[int, ...]], list[GateApp | None]] = {}
-
-    def made_once(kind: GateKind, wires: tuple[int, ...]) -> GateApp:
-        app = made.get((kind.gate, wires))
-        if app is None:
-            app = made[kind.gate, wires] = GateApp(kind, wires)
-        return app
-
+    spans: dict[tuple[Gate, tuple[int, ...]], tuple[list, list]] = {}
     for app in c.gates:
         plan = plans[app.kind.gate]
         if not plan.fired:
             gates.append(app)
             continue
-        frame = (*app.qubits, cat, anc)
         key = (app.kind.gate, app.qubits)
-        shared = built.get(key)
-        if shared is None:
-            # None holds the place of each angled gate, filled in below.
-            shared = built[key] = [
-                None if kind is None else made_once(kind, tuple(frame[w] for w in ws))
-                for _, kind, ws in plan.gates
-            ]
+        span = spans.get(key)
+        if span is None:
+            # A rule assumes its catalyst is a wire apart, so none may rewrite a gate on it.
+            if plan.kicks and catalyst in app.qubits:
+                raise LoweringError(
+                    f"gate {c.gates.index(app)} ({app.kind.gate.value}) acts on catalyst"
+                    f" wire {catalyst} and its rule kicks the catalyst"
+                )
+            frame = (*app.qubits, cat, anc)
+            shared: list[GateApp | None] = []
+            angled = []
+            for g, ws in plan.gates:
+                wires = tuple(map(frame.__getitem__, ws))
+                if g.takes_angle:
+                    angled.append((len(shared), g, wires))
+                    shared.append(None)
+                    continue
+                made_app = made.get((g, wires))
+                if made_app is None:
+                    made_app = made[g, wires] = trusted_app(g, wires)
+                shared.append(made_app)
+            span = spans[key] = (shared, angled)
+        shared, angled = span
         at = len(gates)
         gates += shared
-        for j in plan.angled:
-            g, _, ws = plan.gates[j]
-            gates[at + j] = GateApp(GateKind(g, app.kind.angle), tuple(frame[w] for w in ws))
+        for j, g, wires in angled:
+            gates[at + j] = trusted_app(g, wires, app.kind.angle)
     circuit = Circuit(c.num_qubits + need_cat + need_anc, tuple(gates))
     assert not check_membership(circuit, target)
 
-    counts = {g: 0 for g in Gate}
+    counts = dict.fromkeys(_TAGS, 0)
     counts[Gate.X] += need_anc
     rule_instances = dict.fromkeys(RULES, 0)
     for gate, k in kinds.items():
-        for g, _, _ in plans[gate].gates:
+        for g, _ in plans[gate].gates:
             counts[g] += k
-        for rule, fired in plans[gate].fired.items():
+        for rule, fired in plans[gate].fired:
             rule_instances[rule] += k * fired
     return LoweredCircuit(
         circuit=circuit,
@@ -281,12 +307,15 @@ _SNAPS = ((0.0, None), (math.pi, Gate.Z), (-math.pi, Gate.Z),
 
 
 def _merged_phase(angle: float, wire: int) -> list[GateApp]:
-    """RZ(``angle``) on ``wire`` up to global phase, as nothing, Z, S, SDG or one RZ."""
+    """RZ(``angle``) on ``wire`` up to global phase, as nothing, Z, S, SDG or
+    one RZ. Raises CircuitError if ``angle``, a sum, has overflowed."""
+    if not math.isfinite(angle):
+        raise CircuitError(f"merged RZ angle on wire {wire} is not finite")
     t = math.remainder(angle, 2.0 * math.pi)
     for at, gate in _SNAPS:
         if abs(t - at) <= PHASE_SNAP_TOL:
-            return [] if gate is None else [GateApp(GateKind(gate), (wire,))]
-    return [GateApp(GateKind(Gate.RZ, t), (wire,))]
+            return [] if gate is None else [trusted_app(gate, (wire,))]
+    return [trusted_app(Gate.RZ, (wire,), t)]
 
 
 def merge_phases(c: Circuit, catalyst: int | None = None) -> Circuit:
@@ -354,7 +383,7 @@ def merge_phases(c: Circuit, catalyst: int | None = None) -> Circuit:
 
 def _turned(app: GateApp, angle: float) -> GateApp:
     """The rotation ``app`` turned further by ``angle``."""
-    return GateApp(GateKind(app.kind.gate, app.kind.angle + angle), app.qubits)
+    return trusted_app(app.kind.gate, app.qubits, app.kind.angle + angle)
 
 
 _REPORT_NOTES = (
@@ -393,7 +422,7 @@ def count_report(lowered: LoweredCircuit) -> CountReport:
         g: float(rule_cost(g).ccz) for g, fired in lowered.rule_instances.items() if fired
     }
     return CountReport(
-        counts={g.value: lowered.counts[g] for g in Gate},
+        counts={g.value: lowered.counts[g] for g in _TAGS},
         catalyst=lowered.catalyst_qubit is not None,
         ancilla=len(lowered.ancilla_qubits),
         ccz_per_cs=ccz.pop(Gate.CS, None),

@@ -41,8 +41,9 @@ Angle-free operators are built once and kept read-only by ``_fused``, an LRU
 cache keyed by the width and the run's (tag, wires) pairs, wires relative to
 the run's. Angles are never in a key, so the cache cannot grow with them.
 States of at most 5 wires are not cut: the dense check of one m = 3 target
-(a 5-wire, 173-gate lowering on 8 columns) takes 1.0 ms whole and 1.6 ms
-cut (median of 20 targets, one BLAS thread, 2-core Xeon).
+(a 5-wire, 139-gate lowering on 8 columns) takes 0.60 ms whole and 0.92 ms
+cut (median of 20 targets, best of 30 runs each, one BLAS thread, 2-core
+Xeon).
 
 The kernel ``_apply`` applies one gate without building its embedding. Up
 to 5 wires it takes runs of one gate and the angled gates that cut runs; it
@@ -52,10 +53,13 @@ they leave alone stay bit-identical. So a one-qubit update never sees more
 than 4^5 = 1024 amplitudes:
 
 - phase gates multiply, in place, the basis slice where every operand bit
-  is 1 by the gate's phase; amplitudes outside that slice are not touched;
-- every other one-qubit gate (H, X, Y, RX, RY, RZ) multiplies its 2x2
-  matrix into the (left, 2, right) reshape as one batched product, written
-  to a new array that replaces the state;
+  is 1 by the gate's phase, through an index built once per rank and
+  operands (``_ones_index``); amplitudes outside that slice are not touched;
+- every other one-qubit gate multiplies its 2x2 matrix into the (left, 2,
+  right) reshape as one batched product, written to a new array that
+  replaces the state. H, X and RY have real matrices, so theirs multiplies
+  the float64 view, each amplitude read as its (re, im) pair, as a wide
+  run's real operator does; Y, RX and RZ take the complex product;
 - CRY does the same one-qubit update on its control=1 slice, in place.
 
 ``induce`` reads the operator induced on the free wires off one column pass,
@@ -78,7 +82,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateApp, GateKind
+from .ir import PLAIN_KIND, Circuit, Gate, GateApp, GateKind
 
 MAX_DENSE_QUBITS = 12
 MAX_STATE_QUBITS = 24
@@ -118,8 +122,9 @@ def _rx(theta: float) -> np.ndarray:
 
 
 def _ry(theta: float) -> np.ndarray:
+    """RY's matrix, real: the kernel multiplies it into float64 views."""
     c, si = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -si], [si, c]], dtype=complex)
+    return np.array((c, -si, si, c)).reshape(2, 2)
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -141,7 +146,7 @@ def _matrix(kind: GateKind) -> np.ndarray:
     if kind.gate is Gate.RX:
         return _rx(kind.angle)
     if kind.gate is Gate.RY:
-        return _ry(kind.angle)
+        return _ry(kind.angle).astype(complex)
     if kind.gate is Gate.RZ:
         return _rz(kind.angle)
     # CRY: control is the first operand.
@@ -171,8 +176,20 @@ class _Op(NamedTuple):
     qubits: tuple[int, ...]
 
 
-# The kind of each angle-free tag, for the gates ``_fused`` builds from tags.
-_KIND = {g: GateKind(g) for g in Gate if not g.takes_angle}
+# The real matrices of H and X; RY's is built per angle by ``_ry``.
+_REAL_1Q = {g: np.ascontiguousarray(_FIXED[g].real) for g in (Gate.H, Gate.X)}
+for _m in _REAL_1Q.values():
+    _m.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=4096)
+def _ones_index(ndim: int, qubits: tuple[int, ...]) -> tuple[slice, ...]:
+    """The index of the view where every bit of ``qubits`` is 1, on an array
+    of ``ndim`` axes: a phase gate's all-ones slice, built once per shape."""
+    idx = [_ALL] * ndim
+    for q in qubits:
+        idx[q] = _ONE
+    return tuple(idx)
 
 
 def _apply(psi: np.ndarray, app: GateApp | _Op) -> np.ndarray:
@@ -188,28 +205,40 @@ def _apply(psi: np.ndarray, app: GateApp | _Op) -> np.ndarray:
     they work on any view, the permuted one a fused run leaves included.
     """
     gate = app.kind.gate
-    idx: list = [_ALL] * psi.ndim
     phase = _ONES_PHASE.get(gate)
     if phase is not None:
-        for q in app.qubits:
-            idx[q] = _ONE
-        ones = psi[tuple(idx)]
+        ones = psi[_ones_index(psi.ndim, app.qubits)]
         ones *= phase
         return psi
+    if gate is Gate.RY:
+        return _apply_real_1q(psi, app.qubits[0], _ry(app.kind.angle))
+    real = _REAL_1Q.get(gate)
+    if real is not None:
+        return _apply_real_1q(psi, app.qubits[0], real)
     if gate is Gate.CRY:
         control, q = app.qubits
-        idx[control] = _ONE
-        target = psi[tuple(idx)]
+        target = psi[_ones_index(psi.ndim, (control,))]
         target[...] = _apply_1q(target, q, _ry(app.kind.angle))
         return psi
     return _apply_1q(psi, app.qubits[0], _matrix(app.kind))
 
 
+def _pairs(psi: np.ndarray, q: int) -> np.ndarray:
+    """``psi`` reshaped to (left, 2, right) around axis ``q``."""
+    return psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
+
+
 def _apply_1q(psi: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
     """One-qubit matrix ``m`` on axis ``q`` of ``psi``: one batched product
     into the (left, 2, right) reshape, returned as a new array."""
-    pairs = psi.reshape(-1, 2, math.prod(psi.shape[q + 1 :]))
-    return np.matmul(m, pairs).reshape(psi.shape)
+    return np.matmul(m, _pairs(psi, q)).reshape(psi.shape)
+
+
+def _apply_real_1q(psi: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
+    """``_apply_1q`` of a real ``m``, on the float64 view of the pairs, where
+    each complex amplitude reads as its (re, im): half the arithmetic."""
+    pairs = np.ascontiguousarray(_pairs(psi, q)).view(np.float64)
+    return np.matmul(m, pairs).view(complex).reshape(psi.shape)
 
 
 # A fused operator spans at most _FUSE_QUBITS wires: at the cap it is 32x32
@@ -247,7 +276,7 @@ def _fused(n: int, run: tuple[tuple[Gate, tuple[int, ...]], ...]) -> np.ndarray:
     on wires below n, built gate by gate on the identity."""
     op = _identity(n)
     for gate, qubits in run:
-        op = _apply(op, _Op(_KIND[gate], qubits))
+        op = _apply(op, _Op(PLAIN_KIND[gate], qubits))
     op = np.ascontiguousarray(op.reshape(1 << n, 1 << n))
     op.flags.writeable = False
     return op
@@ -451,11 +480,21 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AuxWire:
-    """A work wire with declared computational-basis input and output bits."""
+    """A work wire with declared computational-basis input and output bits.
+
+    Raises ValueError, naming the wire, unless both bits are 0 or 1.
+    """
 
     qubit: int
     in_bit: int
     out_bit: int
+
+    def __post_init__(self) -> None:
+        if self.in_bit not in (0, 1) or self.out_bit not in (0, 1):
+            raise ValueError(
+                f"aux wire {self.qubit}: bits must be 0 or 1, got in {self.in_bit!r}"
+                f" and out {self.out_bit!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz
+from .ir import REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, cz, trusted_app
 from .lowering import (
     VERIFY_METHOD, LoweredCircuit, LoweringCheck, check_induced, induce, lower, merge_phases,
     rule_cost,
@@ -149,7 +149,7 @@ def _rot(gate: Gate, angle: float, qubit: int) -> list[GateApp]:
     angle = _wrap_pi(angle)
     if abs(angle) <= _ANGLE_EPS:
         return []
-    return [GateApp(GateKind(gate, angle), (qubit,))]
+    return [trusted_app(gate, (qubit,), angle)]
 
 
 def _short_1q(su: tuple[complex, ...], qubit: int) -> list[GateApp] | None:
@@ -161,7 +161,7 @@ def _short_1q(su: tuple[complex, ...], qubit: int) -> list[GateApp] | None:
             abs(a - p) <= _NAMED_EPS and abs(b - q) <= _NAMED_EPS
             and abs(c - r) <= _NAMED_EPS and abs(d - s) <= _NAMED_EPS
         ):
-            return [] if g is None else [GateApp(GateKind(g), (qubit,))]
+            return [] if g is None else [trusted_app(g, (qubit,))]
     if abs(a.imag) <= _FAMILY_EPS and abs(b.real) <= _FAMILY_EPS:
         return _rot(Gate.RX, 2.0 * math.atan2(-b.imag, a.real), qubit)
     if abs(a.imag) <= _FAMILY_EPS and abs(b.imag) <= _FAMILY_EPS:

@@ -268,6 +268,13 @@ def test_a_wire_fixed_twice_is_refused():
         induced_on_data(g)
 
 
+@pytest.mark.parametrize("in_bit, out_bit", [(-1, 0), (2, 0), (0, -1), (1, 2)])
+def test_an_aux_wire_bit_outside_zero_and_one_is_refused(in_bit, out_bit):
+    # -1 would index the |1> ket and 2 would raise a bare IndexError.
+    with pytest.raises(ValueError, match="aux wire 4: bits must be 0 or 1"):
+        AuxWire(4, in_bit, out_bit)
+
+
 def test_a_claim_of_the_wrong_shape_is_refused():
     # An aux wire on the data wire leaves a 1x1 block, which must not be
     # broadcast against the 2x2 claim.

@@ -32,6 +32,7 @@ from catalyq.ir import (
     ry,
     s,
     serialize_circuit,
+    trusted_app,
 )
 from conftest import random_circuit
 
@@ -191,6 +192,35 @@ def test_gate_app_equality_hash_and_repr_ignore_its_top_operand():
     assert pickle.loads(pickle.dumps(a)).top == 3
 
 
+@st.composite
+def gate_parts(draw):
+    """A tag, an angle exactly when it takes one, and distinct wires."""
+    gate = draw(st.sampled_from(list(Gate)))
+    qubits = tuple(draw(st.lists(st.integers(0, 30), min_size=gate.arity,
+                                 max_size=gate.arity, unique=True)))
+    angle = draw(st.floats(allow_nan=False, allow_infinity=False)) if gate.takes_angle else None
+    return gate, qubits, angle
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_parts())
+def test_trusted_gate_equals_the_validated_one(parts):
+    gate, qubits, angle = parts
+    trusted = trusted_app(gate, qubits, angle)
+    checked = GateApp(GateKind(gate, angle), qubits)
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked) and repr(trusted.kind) == repr(checked.kind)
+    assert trusted.top == checked.top
+    assert serialize_circuit(Circuit(31, (trusted,))) == serialize_circuit(Circuit(31, (checked,)))
+    assert pickle.loads(pickle.dumps(trusted)) == checked
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_trusted_gate_refuses_a_non_finite_angle(angle):
+    with pytest.raises(CircuitError, match="RZ angle must be finite"):
+        trusted_app(Gate.RZ, (0,), angle)
+
+
 ALL_BUT_X = GateSetProfile("all but X", lambda g: g is not Gate.X)
 
 
@@ -248,6 +278,14 @@ def test_membership_full_is_always_empty():
     for _ in range(10):
         c = random_circuit(rng, 4, 20)
         assert check_membership(c, FULL) == []
+
+
+def test_a_profile_asks_admits_once_per_tag():
+    asked = []
+    profile = GateSetProfile("asked", lambda g: asked.append(g) or g is Gate.H)
+    assert asked == list(Gate) and profile.admitted == frozenset({Gate.H})
+    check_membership(circuit_of(1, h(0), s(0)), profile)
+    assert profile.tags() == (Gate.H,) and asked == list(Gate)
 
 
 def test_profiles_registry():

@@ -18,6 +18,7 @@ from catalyq.ir import (
     PROFILES,
     REAL_O2_CCZ,
     Circuit,
+    CircuitError,
     Gate,
     GateApp,
     GateKind,
@@ -90,6 +91,18 @@ def test_lemma_table():
 def test_corrupted_rule_fails_lemma_check(monkeypatch, gate, broken):
     monkeypatch.setitem(RULES, gate, broken)
     assert check_lemmas() > 1e-6
+
+
+def test_cached_plans_follow_a_patched_rule(monkeypatch):
+    src = circuit_of(2, cz(0, 1), cz(0, 1))
+    lower(src, REAL_O2_CCZ)
+    misses = lowering._built_plan.cache_info().misses
+    assert lower(src, REAL_O2_CCZ).circuit.gates == (x(2), ccz(2, 0, 1), ccz(2, 0, 1))
+    assert lowering._built_plan.cache_info().misses == misses
+    monkeypatch.setitem(RULES, Gate.CZ, ((Gate.H, (1,)), (Gate.CCZ, (A, 0, 1)), (Gate.H, (1,))))
+    assert lower(src, REAL_O2_CCZ).circuit.gates == (x(2), *[h(1), ccz(2, 0, 1), h(1)] * 2)
+    monkeypatch.undo()
+    assert lower(src, REAL_O2_CCZ).circuit.gates == (x(2), ccz(2, 0, 1), ccz(2, 0, 1))
 
 
 @pytest.mark.parametrize("field", ["catalyst_deficit", "leakage"])
@@ -505,6 +518,19 @@ def test_lowered_output_is_pinned(source, target):
     assert max(chk.distance, chk.catalyst_deficit, chk.leakage) <= 1e-12
 
 
+def test_merged_lowering_is_pinned():
+    # merge_phases and lower build their gates through ir.trusted_app; the
+    # bytes must be those of gates built through the validating constructors.
+    merged = merge_phases(GOLDEN_SOURCES["mix_long"])
+    low = lower(merged, REAL_O2_CCZ)
+    assert (len(merged.gates), len(low.circuit.gates)) == (1782, 4584)
+    digests = [hashlib.sha256(serialize_circuit(c).encode()).hexdigest() for c in (merged, low.circuit)]
+    assert digests == [
+        "64d2e798daec3d3cac241e26dd99c56c9870e723b36fd7af94aefeb0235fb479",
+        "ef6dac17b26742e9bf33964cd5c8eb6e40b29710693fb1beec54c2eafdf0eb28",
+    ]
+
+
 @pytest.mark.parametrize("source, target", sorted(GOLDEN_REJECTIONS))
 def test_golden_rejections(source, target):
     with pytest.raises(LoweringError) as exc:
@@ -831,6 +857,16 @@ def test_merge_phases_feeds_an_rz_to_the_catalyst_walk():
     assert merge_faults(src, catalyst=2) == []
     # Without the catalyst named the RZs only merge with one another.
     assert [a.kind.gate for a in merge_phases(src).gates].count(Gate.RZ) == 3
+
+
+def test_a_merged_angle_that_overflows_is_refused():
+    # Each RZ(1e308) is finite; their sum is not, on the wire and in the
+    # catalyst's RY that takes an RZ in.
+    with pytest.raises(CircuitError, match="merged RZ angle on wire 0 is not finite"):
+        merge_phases(circuit_of(1, rz(1e308, 0), rz(1e308, 0)))
+    walk = circuit_of(2, cz(0, 1), ry(1e308, 1), cz(0, 1), rz(1e308, 0))
+    with pytest.raises(CircuitError, match="RY angle must be finite"):
+        merge_phases(walk, catalyst=1)
 
 
 @pytest.mark.parametrize("across", [Gate.H, Gate.RY, Gate.X])

@@ -332,6 +332,42 @@ def test_diagonal_gates_touch_only_the_all_ones_slice(case):
         assert np.array_equal(before, after)
 
 
+@st.composite
+def lean_kernel_cases(draw):
+    """A gate on up to ``_FUSE_QUBITS`` wires, a trailing batch axis of 1-4
+    columns, and the input's layout: contiguous, every other column of a
+    wider batch, or a transposed copy viewed back in order."""
+    gate = draw(st.sampled_from(list(Gate)))
+    n = draw(st.integers(gate.arity, _FUSE_QUBITS))
+    angle = draw(st.floats(-4 * math.pi, 4 * math.pi)) if gate.takes_angle else None
+    qubits = tuple(draw(st.permutations(range(n)))[: gate.arity])
+    batch = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    return GateKind(gate, angle), qubits, (2,) * n + (batch,), layout, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lean_kernel_cases())
+def test_lean_kernel_matches_the_per_gate_oracle(case):
+    # Up to 5 wires a phase gate indexes a cached all-ones slice and H, X
+    # and RY multiply float64 views: each must still agree with the
+    # tensordot oracle on every gate kind, batch and layout.
+    kind, qubits, shape, layout, seed = case
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if layout == "strided":
+        wider = np.zeros(shape[:-1] + (2 * shape[-1],), dtype=complex)
+        wider[..., ::2] = psi
+        psi = wider[..., ::2]
+        assert not psi.flags.c_contiguous
+    elif layout == "transposed":
+        psi = np.ascontiguousarray(psi.swapaxes(0, -1)).swapaxes(0, -1)
+    expected = apply_tensor(psi, oracle_matrix(kind), qubits)
+    got = _apply(psi, GateApp(kind, qubits))
+    assert got.shape == shape
+    assert np.abs(got - expected).max() <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
 def test_run_leaves_the_input_unchanged(n, seed):

@@ -1,6 +1,8 @@
 """Synthesis: one-qubit emission, CZ-based decomposition, full pipeline."""
 
+import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from catalyq.ir import (
     REAL_O2_CCZ, Circuit, Gate, GateApp, GateKind, check_membership, circuit_of, cz, gate_counts, s,
+    serialize_circuit,
 )
 from catalyq.sim import gate_matrix, phase_aligned_distance
 from catalyq import lowering, sim, synth
@@ -453,6 +456,44 @@ def test_synthesize_seeded_su4():
     assert res.catalyst_deficit <= 1e-9
     assert check_membership(res.lowered.circuit, REAL_O2_CCZ) == []
     assert res.lowered.circuit.num_qubits == 4
+
+
+def su2_zyz(theta, phi, lam):
+    """Rz(phi) Ry(theta) Rz(lam) from scalar math alone, no BLAS or LAPACK."""
+    c, si = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([
+        [cmath.exp(-0.5j * (phi + lam)) * c, -cmath.exp(-0.5j * (phi - lam)) * si],
+        [cmath.exp(0.5j * (phi - lam)) * si, cmath.exp(0.5j * (phi + lam)) * c],
+    ])
+
+
+# m = 1 synthesis is scalar arithmetic end to end, so its bytes hang on the
+# C math library alone, not on the LAPACK build; sha256 of serialize_circuit
+# of the lowered circuit.
+SYNTH_BYTES_PIN = {
+    (1.1, 0.7, -0.4): "cf7d613959c1d960e7f9624047b7ffd03e1cb9123398b20c8e795847ecf0b352",
+    (0.3, 2.9, 1.3): "f8281dcf9d57037e084d49806d5688ecc03991e024860176ecd7bec7dfd6cec4",
+}
+
+
+@pytest.mark.parametrize("angles", sorted(SYNTH_BYTES_PIN))
+def test_synthesized_bytes_are_pinned(angles):
+    text = serialize_circuit(synthesize(su2_zyz(*angles)).lowered.circuit)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYNTH_BYTES_PIN[angles]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_synthesized_gates_equal_their_validated_rebuild(m):
+    # synth, merge_phases and lower emit through ir.trusted_app; every gate
+    # rebuilt through the validating constructors is equal and prints the same.
+    for seed in range(5):
+        got = synthesize(haar_su(1 << m, 100 * m + seed)).lowered.circuit
+        rebuilt = Circuit(got.num_qubits, tuple(
+            GateApp(GateKind(app.kind.gate, app.kind.angle), list(app.qubits)) for app in got.gates
+        ))
+        assert rebuilt == got
+        assert [repr(a) for a in rebuilt.gates] == [repr(a) for a in got.gates]
+        assert serialize_circuit(rebuilt) == serialize_circuit(got)
 
 
 def test_synthesize_rejects_non_unitary():
